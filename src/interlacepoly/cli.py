@@ -66,6 +66,8 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 def cmd_euler(args: argparse.Namespace) -> int:
     w = DoubleOccurrenceWord.parse(_read_input(args.input))
+    if w.n == 0:
+        raise ValueError("the word is empty: it has no symbols")
     d = digraph_from_word(w)
     if args.action == "count":
         count = euler_circuit_count_best(d)
@@ -209,12 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         "action", choices=["count", "partitions", "martin", "orbit"]
     )
     p.add_argument("input", help="double occurrence word file, or - for stdin")
-    p.add_argument(
-        "--format",
-        choices=["edgelist", "graph6", "word"],
-        default="word",
-        help="input format (only word applies here)",
-    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_euler)
 

@@ -283,7 +283,7 @@ class BalancedDigraph:
     the order and the free-loop count.
     """
 
-    __slots__ = ("order", "arcs", "free_loops")
+    __slots__ = ("order", "arcs", "free_loops", "_in_lists", "_out_lists")
 
     def __init__(
         self,
@@ -294,37 +294,39 @@ class BalancedDigraph:
         arcs = tuple((int(t), int(h)) for t, h in arcs)
         if free_loops < 0:
             raise ValueError("free_loops must be >= 0")
-        indeg = [0] * order
-        outdeg = [0] * order
-        for t, h in arcs:
+        in_lists: list[list[int]] = [[] for _ in range(order)]
+        out_lists: list[list[int]] = [[] for _ in range(order)]
+        for i, (t, h) in enumerate(arcs):
             if not (0 <= t < order and 0 <= h < order):
                 raise ValueError(f"arc ({t},{h}) out of range for order {order}")
-            outdeg[t] += 1
-            indeg[h] += 1
+            out_lists[t].append(i)
+            in_lists[h].append(i)
         for v in range(order):
-            if indeg[v] != outdeg[v]:
+            if len(in_lists[v]) != len(out_lists[v]):
                 raise ValueError(
-                    f"vertex {v} has in-degree {indeg[v]} != out-degree {outdeg[v]}"
+                    f"vertex {v} has in-degree {len(in_lists[v])}"
+                    f" != out-degree {len(out_lists[v])}"
                 )
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "free_loops", free_loops)
+        object.__setattr__(self, "_in_lists", tuple(map(tuple, in_lists)))
+        object.__setattr__(self, "_out_lists", tuple(map(tuple, out_lists)))
 
     def __setattr__(self, name, value):
         raise AttributeError("BalancedDigraph is immutable")
 
     @property
     def is_two_in_two_out(self) -> bool:
-        deg = [0] * self.order
-        for t, _ in self.arcs:
-            deg[t] += 1
-        return all(d == 2 for d in deg)
+        return all(len(outs) == 2 for outs in self._out_lists)
 
-    def in_arcs(self, v: int) -> list[int]:
-        return [i for i, (_, h) in enumerate(self.arcs) if h == v]
+    def in_arcs(self, v: int) -> tuple[int, ...]:
+        """Ids of the arcs with head v, in increasing order."""
+        return self._in_lists[v]
 
-    def out_arcs(self, v: int) -> list[int]:
-        return [i for i, (t, _) in enumerate(self.arcs) if t == v]
+    def out_arcs(self, v: int) -> tuple[int, ...]:
+        """Ids of the arcs with tail v, in increasing order."""
+        return self._out_lists[v]
 
     def is_connected(self) -> bool:
         """Weak connectivity over all ``order`` vertices (no free loops)."""
@@ -403,14 +405,15 @@ class CircuitPartition:
 
 def transition_systems(d: BalancedDigraph) -> Iterator[TransitionSystem]:
     """All transition systems, as tuples of per-vertex permutations."""
-    degs = [len(d.in_arcs(v)) for v in range(d.order)]
-    yield from product(*(tuple(permutations(range(k))) for k in degs))
+    yield from product(
+        *(tuple(permutations(range(len(ins)))) for ins in d._in_lists)
+    )
 
 
 def transition_system_count(d: BalancedDigraph) -> int:
     count = 1
-    for v in range(d.order):
-        count *= factorial(len(d.in_arcs(v)))
+    for ins in d._in_lists:
+        count *= factorial(len(ins))
     return count
 
 
@@ -418,14 +421,13 @@ def circuit_partition_of(
     d: BalancedDigraph, ts: TransitionSystem
 ) -> CircuitPartition:
     """Partition of the arcs induced by following the transition system."""
-    in_lists = [d.in_arcs(v) for v in range(d.order)]
-    out_lists = [d.out_arcs(v) for v in range(d.order)]
     # next arc after e: at v = head(e), look up e's slot among v's in-arcs
     nxt = [0] * len(d.arcs)
     for v in range(d.order):
         perm = ts[v]
-        for i, e in enumerate(in_lists[v]):
-            nxt[e] = out_lists[v][perm[i]]
+        outs = d.out_arcs(v)
+        for i, e in enumerate(d.in_arcs(v)):
+            nxt[e] = outs[perm[i]]
     unseen = set(range(len(d.arcs)))
     circuits = []
     while unseen:
@@ -441,6 +443,43 @@ def circuit_partition_of(
     return CircuitPartition(tuple(circuits), d.free_loops)
 
 
+def _plain_changes(k: int) -> list[int]:
+    """Plain changes (Steinhaus-Johnson-Trotter) on k items: positions i
+    such that swapping the entries at i and i+1, in turn, walks from the
+    identity through all k! permutations, each once.  The list reads the
+    same backwards."""
+    if k < 2:
+        return []
+    down, up = list(range(k - 2, -1, -1)), list(range(k - 1))
+    swaps: list[int] = []
+    # the largest item sweeps down and up; between sweeps the others take
+    # one plain change of k-1 items, shifted by one while it sits in front
+    for t, inner in enumerate(_plain_changes(k - 1) + [None]):
+        swaps.extend(up if t % 2 else down)
+        if inner is not None:
+            swaps.append(inner + (t % 2 == 0))
+    return swaps
+
+
+def _gray_steps(digits: list[list]) -> list:
+    """All steps of the reflected mixed-radix Gray code in which digit j
+    takes the steps digits[j] in turn, then the same steps backwards.
+
+    Around and between the steps of each digit, the digits before it run
+    their whole walk, alternately forward and reversed.  When every
+    digit's steps read the same backwards, as plain changes do, so does
+    every such walk, and the reversed runs are plain repeats.
+    """
+    steps: list = []
+    for digit in digits:
+        inner = steps
+        steps = list(inner)
+        for step in digit:
+            steps.append(step)
+            steps.extend(inner)
+    return steps
+
+
 TRANSITION_ENUMERATION_CUTOFF = 1 << 20
 
 
@@ -449,23 +488,49 @@ def circuit_partition_polynomial(
 ) -> IntPolynomial:
     """r(D; x): coefficient of x^k counts the partitions into k circuits.
 
-    Computed by enumerating all transition systems (product over vertices
-    of (degree)! matchings); each free loop multiplies by x.  For m loops
-    on one vertex this yields the rising factorial x(x+1)...(x+m-1).
+    Every transition system (product over vertices of (degree)!
+    matchings) is visited, in a Gray-code order in which consecutive
+    systems differ at one vertex by exchanging the next arcs of two of
+    its in-arcs: plain changes order each vertex's matchings, a reflected
+    mixed-radix Gray code combines the vertices.  The next-arc map is a
+    permutation of the arcs whose cycles are the circuits, and exchanging
+    two of its images changes the cycle count by exactly one: +1 (a
+    split) when the two in-arcs lie on the same circuit, -1 (a merge)
+    when they do not.  So each system costs one swap and one walk along
+    a circuit, never a rebuild.  The steps are listed up front, one per
+    transition system after the first.  Each free loop multiplies by x.
+    For m loops on one vertex this yields the rising factorial
+    x(x+1)...(x+m-1).
     """
     total = transition_system_count(d)
     if total > max_systems:
         raise TooLargeError(f"{total} transition systems exceeds {max_systems}")
-    counts: dict[int, int] = {}
-    for ts in transition_systems(d):
-        k = circuit_partition_of(d, ts).circuit_count
-        counts[k] = counts.get(k, 0) + 1
-    if not counts:
-        counts = {d.free_loops: 1}  # arcless digraph: the empty partition
-    coeffs = [0] * (max(counts) + 1)
-    for k, c in counts.items():
-        coeffs[k] = c
-    return IntPolynomial(coeffs)
+    # start from the identity matching at every vertex
+    nxt = [0] * len(d.arcs)
+    digits = []  # per vertex of degree >= 2: the in-arc pair of each step
+    for ins, outs in zip(d._in_lists, d._out_lists):
+        for e, f in zip(ins, outs):
+            nxt[e] = f
+        if len(ins) > 1:
+            digits.append([(ins[i], ins[i + 1]) for i in _plain_changes(len(ins))])
+    count = 0
+    unseen = set(range(len(d.arcs)))
+    while unseen:
+        count += 1
+        e = nxt[unseen.pop()]
+        while e in unseen:
+            unseen.discard(e)
+            e = nxt[e]
+    hist = [0] * (len(d.arcs) + 1)
+    hist[count] = 1
+    for e1, e2 in _gray_steps(digits):
+        e = nxt[e1]
+        while e != e1 and e != e2:
+            e = nxt[e]
+        count += 1 if e == e2 else -1
+        nxt[e1], nxt[e2] = nxt[e2], nxt[e1]
+        hist[count] += 1
+    return IntPolynomial([0] * d.free_loops + hist)
 
 
 def martin_polynomial(
@@ -576,17 +641,13 @@ def anti_circuit_count(d: BalancedDigraph) -> int:
         raise ValueError("anti-circuits are defined for 2-in/2-out digraphs")
     if d.free_loops:
         raise ValueError("free loops are not part of anti-circuit decompositions")
-    in_lists = [d.in_arcs(v) for v in range(d.order)]
-    out_lists = [d.out_arcs(v) for v in range(d.order)]
 
     def step(state):
         e, direction = state
         if direction == FORWARD:  # arrived at head(e) along e
-            v = d.arcs[e][1]
-            i1, i2 = in_lists[v]
+            i1, i2 = d.in_arcs(d.arcs[e][1])
             return (i2 if e == i1 else i1, BACKWARD)
-        v = d.arcs[e][0]  # arrived at tail(e) against e
-        o1, o2 = out_lists[v]
+        o1, o2 = d.out_arcs(d.arcs[e][0])  # arrived at tail(e) against e
         return (o2 if e == o1 else o1, FORWARD)
 
     unseen = {(e, dr) for e in range(len(d.arcs)) for dr in (FORWARD, BACKWARD)}
@@ -685,9 +746,9 @@ def resolve_vertex(
     free = d.free_loops
     consumed = set(follow) | set(follow.values())
     # walk chains entering v from outside
-    for e in range(len(d.arcs)):
-        tail, head = d.arcs[e]
-        if head != v or tail == v:
+    for e in in_list:
+        tail = d.arcs[e][0]
+        if tail == v:
             continue
         cur = follow[e]
         while d.arcs[cur][1] == v:  # still a loop at v, keep chaining

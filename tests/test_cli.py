@@ -58,6 +58,24 @@ def test_euler_orbit(tmp_path, capsys):
     assert len(data["words"]) == 5
 
 
+@pytest.mark.parametrize("action", ["count", "partitions", "martin", "orbit"])
+def test_euler_empty_word(tmp_path, capsys, action):
+    f = tmp_path / "w.txt"
+    f.write_text("\n")
+    code, out, err = run_cli(capsys, "euler", action, str(f))
+    assert code == 2 and out == ""
+    assert err == "error: the word is empty: it has no symbols\n"
+
+
+def test_euler_format_flag_rejected(tmp_path, capsys):
+    f = tmp_path / "w.txt"
+    f.write_text("0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["euler", "count", str(f), "--format", "graph6"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_enumerate_small(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "3")
     assert code == 0

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from interlacepoly.euler import (
+    TRANSITION_ENUMERATION_CUTOFF,
     BalancedDigraph,
     DisconnectedError,
     DoubleOccurrenceWord,
@@ -32,6 +33,7 @@ from interlacepoly.euler import (
     transposition_orbit,
     word_of_circuit,
 )
+from interlacepoly.euler import _plain_changes
 from interlacepoly.graphs import Graph, TooLargeError, edgeless_graph, label_swap, pivot
 from interlacepoly.interlace import interlace_at, interlace_polynomial
 from interlacepoly.polynomials import IntPolynomial
@@ -144,6 +146,78 @@ def test_circuit_partition_counts_1212():
     )
     assert counts == [1, 1, 2, 2]
     assert circuit_partition_polynomial(d) == poly(0, 2, 2)
+
+
+def _reference_r(d):
+    """r(D;x) from the per-system reference: one circuit partition per
+    transition system."""
+    counts = [0] * (len(d.arcs) + d.free_loops + 1)
+    for ts in transition_systems(d):
+        counts[circuit_partition_of(d, ts).circuit_count] += 1
+    return IntPolynomial(counts)
+
+
+def _random_balanced_digraph(rng, max_order, max_free_loops):
+    order = rng.randrange(1, max_order + 1)
+    arcs = []
+    for _ in range(rng.randrange(1, 4)):
+        length = rng.randrange(1, 5)
+        verts = [rng.randrange(order) for _ in range(length)]
+        arcs.extend((verts[i], verts[(i + 1) % length]) for i in range(length))
+    return BalancedDigraph(order, arcs, free_loops=rng.randrange(max_free_loops + 1))
+
+
+def test_plain_changes_visit_every_permutation():
+    for k in range(7):
+        swaps = _plain_changes(k)
+        perm = list(range(k))
+        seen = {tuple(perm)}
+        for i in swaps:
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+            seen.add(tuple(perm))
+        assert len(swaps) + 1 == len(seen) == factorial(k)
+        assert swaps == swaps[::-1]  # the Gray walk relies on this
+
+
+def test_gray_walk_matches_per_system_reference():
+    digraphs = [loops_digraph(m) for m in range(1, 7)]
+    digraphs += [BalancedDigraph(0, [], free_loops=k) for k in range(4)]
+    for n in range(6):
+        for t in canonical_word_tuples(n):
+            d = digraph_from_word(DoubleOccurrenceWord(t))
+            digraphs.append(d)
+            if n:
+                digraphs.append(resolve_vertex(d, 0, (0, 1)))
+                digraphs.append(resolve_vertex(d, 0, (1, 0)))
+    rng = random.Random(1009)
+    general = 0
+    while general < 200:
+        d = _random_balanced_digraph(rng, 4, 3)
+        if transition_system_count(d) <= 5000:
+            digraphs.append(d)
+            general += 1
+    for d in digraphs:
+        assert circuit_partition_polynomial(d) == _reference_r(d), d
+
+
+def test_transition_enumeration_cutoff():
+    assert TRANSITION_ENUMERATION_CUTOFF == 1 << 20
+    # the word 0 0 1 1 ... 19 19 has exactly 2^20 systems and is still
+    # enumerated; its interlace graph is edgeless, so r = x (1 + x)^20
+    d = digraph_from_word(DoubleOccurrenceWord(tuple(i // 2 for i in range(40))))
+    assert transition_system_count(d) == TRANSITION_ENUMERATION_CUTOFF
+    expected = poly(0, 1)
+    for _ in range(20):
+        expected = expected * poly(1, 1)
+    assert circuit_partition_polynomial(d) == expected
+    d = digraph_from_word(DoubleOccurrenceWord(tuple(i // 2 for i in range(42))))
+    with pytest.raises(TooLargeError):
+        circuit_partition_polynomial(d)
+    with pytest.raises(TooLargeError):
+        circuit_partition_polynomial(loops_digraph(4), max_systems=23)
+    assert circuit_partition_polynomial(loops_digraph(4), max_systems=24) == (
+        poly(0, 6, 11, 6, 1)
+    )
 
 
 def test_circuit_partition_polynomial_loops():
@@ -300,16 +374,10 @@ def test_resolution_recursion_general_degrees():
     rng = random.Random(999)
     checked = 0
     while checked < 60:
-        order = rng.randrange(1, 4)
-        arcs = []
-        for _ in range(rng.randrange(1, 4)):
-            length = rng.randrange(1, 5)
-            verts = [rng.randrange(order) for _ in range(length)]
-            arcs.extend((verts[i], verts[(i + 1) % length]) for i in range(length))
-        d = BalancedDigraph(order, arcs, free_loops=rng.randrange(2))
+        d = _random_balanced_digraph(rng, 3, 1)
         if transition_system_count(d) > 5000:
             continue
-        v = rng.randrange(order)
+        v = rng.randrange(d.order)
         ins = d.in_arcs(v)
         if not ins:
             continue
