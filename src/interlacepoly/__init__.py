@@ -46,7 +46,6 @@ from .interlace import (
     complete_polynomial,
     cycle_polynomial,
     edgeless_polynomial,
-    interlace_at,
     interlace_polynomial,
     path_polynomial,
     rotate,

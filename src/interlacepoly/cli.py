@@ -36,9 +36,6 @@ from .suites import (
     run_orbit_suite,
 )
 
-ENUMERATE_DEFAULT_LIMIT = 7
-
-
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -49,9 +46,7 @@ def _read_input(path: str) -> str:
 def _load_graph(text: str, fmt: str) -> Graph:
     if fmt == "graph6":
         return from_graph6(text)
-    if fmt == "edgelist":
-        return parse_edge_list(text)
-    raise ValueError(f"graphs cannot be read from format {fmt!r}")
+    return parse_edge_list(text)
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
@@ -97,26 +92,13 @@ def cmd_euler(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
-    if n > ENUMERATE_DEFAULT_LIMIT and not args.force:
-        print(
-            f"order {n} exceeds {ENUMERATE_DEFAULT_LIMIT}"
-            " (2^C(n,2) graphs); pass --force to proceed",
-            file=sys.stderr,
+    if n > en.TABLE_MAX_ORDER:
+        raise ValueError(
+            f"order {n} exceeds {en.TABLE_MAX_ORDER}, the largest order"
+            " enumerate covers (2^C(n,2) graphs)"
         )
-        return 2
-    if n <= en.TABLE_MAX_ORDER:
-        rows = en.CoefficientTable(n).table(n)
-        polys = ((mask, tuple(map(int, rows[mask]))) for mask in range(len(rows)))
-    else:
-        cache: dict = {}
-
-        def stream():
-            for mask in range(1 << en.pair_count(n)):
-                g = en.graph_of_mask(n, mask)
-                q = interlace_polynomial(g, cache)
-                yield mask, q.coeffs + (0,) * (n + 1 - len(q.coeffs))
-
-        polys = stream()
+    rows = en.CoefficientTable(n).table(n)
+    polys = ((mask, tuple(map(int, rows[mask]))) for mask in range(len(rows)))
 
     from .graphs import is_connected
     from .polynomials import IntPolynomial
@@ -199,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="graph file, or - for stdin")
     p.add_argument(
         "--format",
-        choices=["edgelist", "graph6", "word"],
+        choices=["edgelist", "graph6"],
         default="edgelist",
         help="input format (default edgelist)",
     )
@@ -222,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="one line per distinct polynomial, with its count",
     )
-    p.add_argument("--force", action="store_true", help="allow orders above 7")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 

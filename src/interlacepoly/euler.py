@@ -46,7 +46,7 @@ from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, TooLargeError
+from .graphs import Graph, TooLargeError, label_swap, pivot
 from .polynomials import IntPolynomial
 
 FORWARD, BACKWARD = 0, 1
@@ -67,7 +67,7 @@ class DoubleOccurrenceWord:
     present, map symbol ids back to the tokens they were parsed from.
     """
 
-    __slots__ = ("symbols", "labels")
+    __slots__ = ("symbols", "labels", "_first", "_second")
 
     def __init__(
         self, symbols: Iterable[int], labels: Sequence[str] | None = None
@@ -84,10 +84,14 @@ class DoubleOccurrenceWord:
             counts[s] += 1
         if any(c != 2 for c in counts):
             raise ValueError("every symbol must appear exactly twice")
-        object.__setattr__(self, "symbols", _canonical_rotation(syms))
+        syms = _canonical_rotation(syms)
+        first, second = _occurrences(syms)
+        object.__setattr__(self, "symbols", syms)
         object.__setattr__(
             self, "labels", tuple(labels) if labels is not None else None
         )
+        object.__setattr__(self, "_first", first)
+        object.__setattr__(self, "_second", second)
 
     def __setattr__(self, name, value):
         raise AttributeError("DoubleOccurrenceWord is immutable")
@@ -111,8 +115,7 @@ class DoubleOccurrenceWord:
         return len(self.symbols) // 2
 
     def occurrences(self, s: int) -> tuple[int, int]:
-        first = self.symbols.index(s)
-        return first, self.symbols.index(s, first + 1)
+        return self._first[s], self._second[s]
 
     def token(self, s: int) -> str:
         return self.labels[s] if self.labels is not None else str(s)
@@ -145,49 +148,107 @@ def _canonical_rotation(syms: tuple[int, ...]) -> tuple[int, ...]:
     return best
 
 
+# -- word primitives on symbol tuples ----------------------------------------
+#
+# A word here is a tuple over symbols 0..n-1, each appearing twice.  The
+# word objects below, the orbit searches and the orbit suite all work
+# through these few functions.
+
+
+def _occurrences(word: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The first and the second position of every symbol."""
+    n = len(word) // 2
+    first = [-1] * n
+    second = [0] * n
+    for i, s in enumerate(word):
+        if first[s] < 0:
+            first[s] = i
+        else:
+            second[s] = i
+    return first, second
+
+
+def _interlaced_pairs(
+    first: Sequence[int], second: Sequence[int]
+) -> list[tuple[int, int, int, int, int, int]]:
+    """(a, b, i, j, k, l) for every interlaced pair a < b, where
+    i < j < k < l are the positions of the four occurrences: one symbol
+    sits at i and k, the other at j and l."""
+    n = len(first)
+    out = []
+    for a in range(n):
+        p1, p2 = first[a], second[a]
+        for b in range(a + 1, n):
+            q1, q2 = first[b], second[b]
+            if p1 < q1 < p2 < q2:
+                out.append((a, b, p1, q1, p2, q2))
+            elif q1 < p1 < q2 < p2:
+                out.append((a, b, q1, p1, q2, p2))
+    return out
+
+
+def _transpose_slice(s: tuple, i: int, j: int, k: int, l: int) -> tuple:
+    """s with the stretches s[i:j] and s[k:l] exchanged (i <= j <= k <= l).
+
+    For an interlaced pair at positions i < j < k < l, the transposed
+    word exchanges s[i+1:j] with s[k+1:l], and the transposed circuit
+    (a tuple of arcs) exchanges c[i:j] with c[k:l]."""
+    return s[:i] + s[k:l] + s[j:k] + s[i:j] + s[l:]
+
+
+def _crossing(w: DoubleOccurrenceWord, a: int, b: int) -> list[int] | None:
+    """Positions i < j < k < l of the occurrences of a and b when they
+    are interlaced, else None."""
+    first, second = (w._first[a], w._first[b]), (w._second[a], w._second[b])
+    for _, _, *pos in _interlaced_pairs(first, second):
+        return pos
+    return None
+
+
 def interlaced(w: DoubleOccurrenceWord, a: int, b: int) -> bool:
     """True when the occurrences of a and b cross in the cyclic order."""
-    p1, p2 = w.occurrences(a)
-    q1, q2 = w.occurrences(b)
-    return (p1 < q1 < p2) != (p1 < q2 < p2)
+    return _crossing(w, a, b) is not None
 
 
 def interlace_graph(w: DoubleOccurrenceWord) -> Graph:
     """The interlace graph H(w): symbols as vertices, edges between
     interlaced pairs.  This is the circle graph of the chord diagram."""
-    n = w.n
-    pos = [[0, 0] for _ in range(n)]
-    seen = [False] * n
-    for i, s in enumerate(w.symbols):
-        pos[s][1 if seen[s] else 0] = i
-        seen[s] = True
-    edges = []
-    for a in range(n):
-        p1, p2 = pos[a]
-        for b in range(a + 1, n):
-            q1, q2 = pos[b]
-            if (p1 < q1 < p2) != (p1 < q2 < p2):
-                edges.append((a, b))
-    labels = w.labels if w.labels is not None else None
-    return Graph(n, edges, labels)
+    edges = [(a, b) for a, b, *_ in _interlaced_pairs(w._first, w._second)]
+    return Graph(w.n, edges, w.labels)
 
 
 def transpose(w: DoubleOccurrenceWord, a: int, b: int) -> DoubleOccurrenceWord:
     """Transpose the word on an interlaced pair: exchange one a-to-b
     stretch with the other.  An involution on cyclic words."""
-    if not interlaced(w, a, b):
+    pos = _crossing(w, a, b)
+    if pos is None:
         raise NotInterlacedError(f"symbols {a} and {b} are not interlaced")
-    p1, p2 = w.occurrences(a)
-    q1, q2 = w.occurrences(b)
-    if not p1 < q1 < p2 < q2:
-        # the pattern must be b..a..b..a; swap roles so it reads a..b..a..b
-        p1, p2, q1, q2 = q1, q2, p1, p2
-    s = w.symbols
-    out = s[: p1 + 1] + s[p2 + 1 : q2] + s[q1 : p2 + 1] + s[p1 + 1 : q1] + s[q2:]
+    i, j, k, l = pos
+    out = _transpose_slice(w.symbols, i + 1, j, k + 1, l)
     return DoubleOccurrenceWord(out, w.labels)
 
 
+# -- orbits ------------------------------------------------------------------
+
 TRANSPOSITION_ORBIT_MAX_SYMBOLS = 7
+PIVOT_ORBIT_MAX_SIZE = 1 << 20
+# also caps the word orbit, which is never larger than the circuit orbit
+CIRCUIT_ORBIT_MAX_SIZE = 1 << 22
+
+
+def _closure(start, step, cap: int) -> set:
+    """Everything reachable from start by step (an iterable of successors
+    per element); TooLargeError once more than cap elements are found."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in step(stack.pop()):
+            if nxt not in seen:
+                if len(seen) >= cap:
+                    raise TooLargeError(f"orbit exceeds {cap} elements")
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def transposition_orbit(
@@ -202,24 +263,15 @@ def transposition_orbit(
     """
     if w.n > max_symbols:
         raise TooLargeError(f"{w.n} symbols exceeds cutoff {max_symbols}")
-    seen = {w}
-    stack = [w]
-    while stack:
-        cur = stack.pop()
-        for a in range(cur.n):
-            for b in range(a + 1, cur.n):
-                if interlaced(cur, a, b):
-                    nxt = transpose(cur, a, b)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-    return seen
+
+    def step(cur):
+        pairs = _interlaced_pairs(cur._first, cur._second)
+        return (transpose(cur, a, b) for a, b, *_ in pairs)
+
+    return _closure(w, step, CIRCUIT_ORBIT_MAX_SIZE)
 
 
-PIVOT_ORBIT_MAX_SIZE = 1 << 20
-
-
-def pivot_orbit(g: Graph, max_size: int = PIVOT_ORBIT_MAX_SIZE) -> set[Graph]:
+def pivot_orbit(g: Graph) -> set[Graph]:
     """Closure of {g} under pivots on all edges (labeled graphs).
 
     For the interlace graph H of an Euler circuit of a digraph D, this
@@ -229,46 +281,51 @@ def pivot_orbit(g: Graph, max_size: int = PIVOT_ORBIT_MAX_SIZE) -> set[Graph]:
     set is circuit_interlace_graphs (a pendant edge, for instance,
     freezes the pure pivot but not the swapped operation).
     """
-    from .graphs import pivot
-
-    seen = {g}
-    stack = [g]
-    while stack:
-        cur = stack.pop()
-        for a, b in cur.edges():
-            nxt = pivot(cur, a, b)
-            if nxt not in seen:
-                if len(seen) >= max_size:
-                    raise TooLargeError(f"pivot orbit exceeds {max_size}")
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+    return _closure(
+        g, lambda h: (pivot(h, a, b) for a, b in h.edges()), PIVOT_ORBIT_MAX_SIZE
+    )
 
 
-def circuit_interlace_graphs(
-    w: DoubleOccurrenceWord, max_size: int = PIVOT_ORBIT_MAX_SIZE
-) -> set[Graph]:
+def circuit_interlace_graphs(w: DoubleOccurrenceWord) -> set[Graph]:
     """Labeled interlace graphs of all Euler circuits of the word's digraph.
 
     Computed without enumerating circuits: transposing on ab turns H into
     the pivot H^{ab} with a and b swapped, so the set is the closure of
     {H(w)} under that combined operation.
     """
-    from .graphs import label_swap, pivot
+    return _closure(
+        interlace_graph(w),
+        lambda h: (label_swap(pivot(h, a, b), a, b) for a, b in h.edges()),
+        PIVOT_ORBIT_MAX_SIZE,
+    )
 
-    g = interlace_graph(w)
-    seen = {g}
-    stack = [g]
-    while stack:
-        cur = stack.pop()
-        for a, b in cur.edges():
-            nxt = label_swap(pivot(cur, a, b), a, b)
-            if nxt not in seen:
-                if len(seen) >= max_size:
-                    raise TooLargeError(f"closure exceeds {max_size}")
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+
+def _circuit_orbit(word: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Euler circuits of the digraph of a word tuple, as tuples of arc
+    ids starting at arc 0 (arc e runs from word[e] to word[e+1]):
+    the closure of the word's own circuit under arc-level transpositions.
+    The visit word of a circuit c is word gathered along c."""
+
+    def step(c):
+        first, second = _occurrences([word[e] for e in c])
+        for _, _, i, j, k, l in _interlaced_pairs(first, second):
+            t = _transpose_slice(c, i, j, k, l)
+            if t[0]:  # arc 0 moved, which happens only when i == 0
+                z = t.index(0)
+                t = t[z:] + t[:z]
+            yield t
+
+    return _closure(tuple(range(len(word))), step, CIRCUIT_ORBIT_MAX_SIZE)
+
+
+def circuit_transposition_orbit(w: DoubleOccurrenceWord) -> set[tuple[int, ...]]:
+    """Orbit of the word's own circuit under arc-level transpositions.
+
+    The orbit is the full set of Euler circuits of the word's digraph
+    (they form a single orbit), so its size equals the BEST count even
+    when parallel arcs make several circuits share a visit word.
+    """
+    return _circuit_orbit(w.symbols)
 
 
 # -- balanced digraphs ------------------------------------------------------
@@ -338,14 +395,7 @@ class BalancedDigraph:
         for t, h in self.arcs:
             adj[t].add(h)
             adj[h].add(t)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.order
+        return len(_closure(0, adj.__getitem__, self.order)) == self.order
 
     def __eq__(self, other) -> bool:
         return (
@@ -601,6 +651,17 @@ def _bareiss_determinant(m: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
+def _best_cofactor(order: int, arcs: Iterable[tuple[int, int]]) -> int:
+    """Arborescences into vertex 0: the (0, 0) cofactor of the directed
+    Laplacian of the arcs, loops excluded."""
+    lap = [[0] * order for _ in range(order)]
+    for t, h in arcs:
+        if t != h:
+            lap[t][t] += 1
+            lap[t][h] -= 1
+    return _bareiss_determinant([row[1:] for row in lap[1:]])
+
+
 def euler_circuit_count_best(d: BalancedDigraph) -> int:
     """Euler circuit count of a connected 2-in/2-out digraph.
 
@@ -615,14 +676,7 @@ def euler_circuit_count_best(d: BalancedDigraph) -> int:
         raise ValueError("BEST counting here expects a 2-in/2-out digraph")
     if not d.is_connected():
         raise DisconnectedError("Euler circuits need a connected digraph")
-    n = d.order
-    lap = [[0] * n for _ in range(n)]
-    for t, h in d.arcs:
-        if t != h:
-            lap[t][t] += 1
-            lap[t][h] -= 1
-    minor = [row[1:] for row in lap[1:]]
-    return _bareiss_determinant(minor)
+    return _best_cofactor(d.order, d.arcs)
 
 
 # -- anti-circuits ----------------------------------------------------------
@@ -664,65 +718,6 @@ def anti_circuit_count(d: BalancedDigraph) -> int:
                 break
         arc_sets.add(frozenset(arcs))
     return len(arc_sets)
-
-
-# -- circuit-level transposition orbit --------------------------------------
-
-
-def _canonical_circuit(cyc: Sequence[int]) -> tuple[int, ...]:
-    i = cyc.index(min(cyc))
-    return tuple(cyc[i:]) + tuple(cyc[:i])
-
-
-def transpose_circuit(
-    d: BalancedDigraph, circuit: Sequence[int], a: int, b: int
-) -> tuple[int, ...]:
-    """Transpose an Euler circuit (arc cycle) on an interlaced vertex pair."""
-    word = [d.arcs[e][0] for e in circuit]
-    pa = [i for i, s in enumerate(word) if s == a]
-    pb = [i for i, s in enumerate(word) if s == b]
-    p1, p2 = pa
-    q1, q2 = pb
-    if not p1 < q1 < p2 < q2:
-        p1, p2, q1, q2 = q1, q2, p1, p2
-    if not p1 < q1 < p2 < q2:
-        raise NotInterlacedError(f"vertices {a} and {b} are not interlaced")
-    c = tuple(circuit)
-    out = c[:p1] + c[p2:q2] + c[q1:p2] + c[p1:q1] + c[q2:]
-    return _canonical_circuit(out)
-
-
-def circuit_transposition_orbit(
-    w: DoubleOccurrenceWord, max_size: int = 1 << 22
-) -> set[tuple[int, ...]]:
-    """Orbit of the word's own circuit under arc-level transpositions.
-
-    The orbit is the full set of Euler circuits of the word's digraph
-    (they form a single orbit), so its size equals the BEST count even
-    when parallel arcs make several circuits share a visit word.
-    """
-    d = digraph_from_word(w)
-    start = _canonical_circuit(tuple(range(len(d.arcs))))
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        word = [d.arcs[e][0] for e in cur]
-        occ: dict[int, list[int]] = {}
-        for i, s in enumerate(word):
-            occ.setdefault(s, []).append(i)
-        for a in range(d.order):
-            p1, p2 = occ[a]
-            for b in range(a + 1, d.order):
-                q1, q2 = occ[b]
-                if (p1 < q1 < p2) != (p1 < q2 < p2):
-                    nxt = transpose_circuit(d, cur, a, b)
-                    if nxt not in seen:
-                        if len(seen) >= max_size:
-                            raise TooLargeError(f"orbit exceeds {max_size}")
-                        seen.add(nxt)
-                        stack.append(nxt)
-    return seen
 
 
 # -- vertex resolution (the circuit-partition recursion step) ---------------

@@ -15,6 +15,11 @@ themselves are identical in G and G^{ab}.
 
 Pivoting about a non-edge is rejected: every identity consuming pivots
 assumes an edge, and a silent non-edge pivot is a bug magnet.
+
+Pivot, vertex deletion, induced subgraphs and components are each written
+once, on bare adjacency rows (``_pivot_rows``, ``_delete_rows``,
+``_induced_rows``, ``_row_components``); the recursive engine calls those
+directly, and the Graph functions validate their arguments and wrap them.
 """
 
 from __future__ import annotations
@@ -193,6 +198,7 @@ def pivot(g: Graph, a: int, b: int) -> Graph:
 
 
 def _pivot_rows(rows: Sequence[int], a: int, b: int) -> list[int]:
+    """Rows of the pivot on edge ab (unchecked)."""
     # classes among vertices other than a, b
     ra, rb = rows[a], rows[b]
     c1 = ra & ~rb & ~(1 << b)  # neighbors of a only
@@ -267,6 +273,53 @@ def label_swap(g: Graph, a: int, b: int) -> Graph:
 # -- structural operations ------------------------------------------------
 
 
+def _delete_rows(rows: Sequence[int], v: int) -> tuple[int, ...]:
+    """Rows with vertex v removed and the later indices shifted down."""
+    low = (1 << v) - 1
+    return tuple(
+        (r & low) | (r >> (v + 1) << v) for u, r in enumerate(rows) if u != v
+    )
+
+
+def _induced_rows(rows: Sequence[int], mask: int) -> tuple[int, ...]:
+    """Rows induced on the vertices of ``mask``, compacted in order."""
+    verts = []
+    m = mask
+    while m:
+        verts.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    out = []
+    for v in verts:
+        r, nr = rows[v], 0
+        for i, u in enumerate(verts):
+            if r >> u & 1:
+                nr |= 1 << i
+        out.append(nr)
+    return tuple(out)
+
+
+def _row_components(rows: Sequence[int]) -> list[int]:
+    """Vertex bitmasks of the components, in order of minimum vertex."""
+    out = []
+    rest = (1 << len(rows)) - 1
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        frontier = rows[v]
+        comp = frontier | 1 << v
+        while frontier:
+            nxt = 0
+            m = frontier
+            while m:
+                u = (m & -m).bit_length() - 1
+                nxt |= rows[u]
+                m &= m - 1
+            frontier = nxt & ~comp
+            comp |= frontier
+        rest &= ~comp
+        out.append(comp)
+    return out
+
+
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int | None, ...]]:
     """Remove v, compacting indices; also return the old->new index map.
 
@@ -274,17 +327,13 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int | None, ...]]:
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    low = (1 << v) - 1
-    rows = [
-        (r & low) | (r >> (v + 1) << v) for u, r in enumerate(g.rows) if u != v
-    ]
     index_map = tuple(
         None if u == v else (u if u < v else u - 1) for u in range(g.n)
     )
     labels = None
     if g.labels is not None:
         labels = [l for u, l in enumerate(g.labels) if u != v]
-    return Graph.from_rows(rows, labels), index_map
+    return Graph.from_rows(_delete_rows(g.rows, v), labels), index_map
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -292,17 +341,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     keep = sorted(set(vertices))
     if keep and not (0 <= keep[0] and keep[-1] < g.n):
         raise ValueError("vertex out of range")
-    pos = {v: i for i, v in enumerate(keep)}
-    rows = [0] * len(keep)
+    mask = 0
     for v in keep:
-        m = g.rows[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            if u in pos:
-                rows[pos[v]] |= 1 << pos[u]
-            m &= m - 1
+        mask |= 1 << v
     labels = [g.labels[v] for v in keep] if g.labels is not None else None
-    return Graph.from_rows(rows, labels)
+    return Graph.from_rows(_induced_rows(g.rows, mask), labels)
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -318,25 +361,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 
 def component_masks(g: Graph) -> list[int]:
     """Vertex bitmasks of the connected components, in order of minimum vertex."""
-    seen = 0
-    out = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                u = (m & -m).bit_length() - 1
-                nxt |= g.rows[u]
-                m &= m - 1
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        out.append(comp)
-    return out
+    return _row_components(g.rows)
 
 
 def component_count(g: Graph) -> int:

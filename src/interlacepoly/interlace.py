@@ -12,8 +12,9 @@ over disjoint unions.
 
 The recursion here is exponential but heavily pruned:
 
-* isolated vertices are stripped up front (each contributes a factor x);
-* components are computed independently and their polynomials multiplied;
+* the graph is split into components first: each isolated vertex
+  contributes a factor x, and the other components are computed
+  independently and their polynomials multiplied;
 * results are memoized on the exact labeled adjacency encoding, which is
   shared aggressively because pivot/delete branches revisit the same
   labeled subgraphs.
@@ -37,6 +38,10 @@ from typing import MutableMapping, Sequence
 from .graphs import (
     Graph,
     TooLargeError,
+    _delete_rows,
+    _induced_rows,
+    _pivot_rows,
+    _row_components,
     complete_graph,
     edgeless_graph,
 )
@@ -63,54 +68,11 @@ def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _delete(rows: tuple[int, ...], v: int) -> tuple[int, ...]:
-    low = (1 << v) - 1
-    return tuple(
-        (r & low) | (r >> (v + 1) << v) for u, r in enumerate(rows) if u != v
-    )
-
-
-def _pivot(rows: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    ra, rb = rows[a], rows[b]
-    c1 = ra & ~rb & ~(1 << b)
-    c2 = rb & ~ra & ~(1 << a)
-    c3 = ra & rb
-    t1, t2, t3 = c2 | c3, c1 | c3, c1 | c2
-    out = list(rows)
-    for v in range(len(rows)):
-        bit = 1 << v
-        if c1 & bit:
-            out[v] ^= t1
-        elif c2 & bit:
-            out[v] ^= t2
-        elif c3 & bit:
-            out[v] ^= t3
-    return tuple(out)
-
-
-def _extract(rows: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    """Induced sub-rows on the vertices of ``mask``, compacted in order."""
-    verts = []
-    m = mask
-    while m:
-        verts.append((m & -m).bit_length() - 1)
-        m &= m - 1
-    out = []
-    for v in verts:
-        r, nr = rows[v], 0
-        for i, u in enumerate(verts):
-            if r >> u & 1:
-                nr |= 1 << i
-        out.append(nr)
-    return tuple(out)
-
-
 def _q_connected(rows: tuple[int, ...], memo: MemoCache) -> tuple[int, ...]:
-    """q of a connected graph with no isolated vertices, given as rows."""
+    """q of a connected graph with at least one edge, given as rows."""
     got = memo.get(rows)
     if got is not None:
         return got
-    n = len(rows)
     # pivot edge: a of minimum degree, b its lowest neighbor
     a, da = 0, 65
     for v, r in enumerate(rows):
@@ -118,45 +80,26 @@ def _q_connected(rows: tuple[int, ...], memo: MemoCache) -> tuple[int, ...]:
         if d < da:
             a, da = v, d
     b = (rows[a] & -rows[a]).bit_length() - 1
-    left = _q_rows(_delete(rows, a), memo)
-    right = _q_rows(_delete(_pivot(rows, a, b), b), memo)
+    left = _q_rows(_delete_rows(rows, a), memo)
+    right = _q_rows(_delete_rows(_pivot_rows(rows, a, b), b), memo)
     res = _add(left, right)
     memo[rows] = res
     return res
 
 
 def _q_rows(rows: tuple[int, ...], memo: MemoCache) -> tuple[int, ...]:
-    n = len(rows)
-    if n == 0:
-        return (1,)
-    # strip isolated vertices: each contributes a factor x
-    isolated = sum(1 for r in rows if r == 0)
-    if isolated:
-        if isolated == n:
-            return (0,) * n + (1,)
-        keep = 0
-        for v, r in enumerate(rows):
-            if r:
-                keep |= 1 << v
-        rows = _extract(rows, keep)
-        return (0,) * isolated + _q_rows(rows, memo)
-    # split into components
-    comp = rows[0] | 1
-    frontier = comp
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            u = (m & -m).bit_length() - 1
-            nxt |= rows[u]
-            m &= m - 1
-        frontier = nxt & ~comp
-        comp |= frontier
-    if comp == (1 << n) - 1:
-        return _q_connected(rows, memo)
-    res = _q_connected(_extract(rows, comp), memo)
-    rest = _q_rows(_extract(rows, ((1 << n) - 1) & ~comp), memo)
-    return _mul(res, rest)
+    """q as the product over the components; an isolated vertex gives x."""
+    full = (1 << len(rows)) - 1
+    isolated = 0
+    res = (1,)
+    for comp in _row_components(rows):
+        if not comp & (comp - 1):
+            isolated += 1
+        elif comp == full:
+            return _q_connected(rows, memo)
+        else:
+            res = _mul(res, _q_connected(_induced_rows(rows, comp), memo))
+    return (0,) * isolated + res
 
 
 def interlace_polynomial(g: Graph, cache: MemoCache | None = None) -> IntPolynomial:
@@ -169,12 +112,6 @@ def interlace_polynomial(g: Graph, cache: MemoCache | None = None) -> IntPolynom
     if cache is None:
         cache = {}
     return IntPolynomial(_q_rows(g.rows, cache))
-
-
-def interlace_at(g: Graph, x0: int, cache: MemoCache | None = None) -> int:
-    """q(G; x0) as an exact integer; q(G;1) counts Euler circuits when G
-    is the interlace graph of a 2-in/2-out digraph."""
-    return interlace_polynomial(g, cache).evaluate(x0)
 
 
 # -- closed forms ----------------------------------------------------------
@@ -360,7 +297,7 @@ def vertex_multiplication_polynomial(
     n = g.n
     total = IntPolynomial.zero()
     for subset in range(1 << n):
-        sub_rows = _extract(g.rows, subset)
+        sub_rows = _induced_rows(g.rows, subset)
         term = IntPolynomial(_q_rows(sub_rows, cache))
         for i in range(n):
             k = multiplicities[i]

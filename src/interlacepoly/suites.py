@@ -29,7 +29,12 @@ import numpy as np
 from . import enumeration as en
 from .euler import (
     DoubleOccurrenceWord,
+    _best_cofactor,
     _canonical_rotation,
+    _circuit_orbit,
+    _interlaced_pairs,
+    _occurrences,
+    _transpose_slice,
     anti_circuit_count,
     canonical_word_tuples,
     circuit_partition_polynomial,
@@ -464,30 +469,6 @@ def run_orbit_suite(max_symbols: int = 5) -> VerificationReport:
     return _finish(report, t0)
 
 
-def _word_hmask(w: tuple[int, ...], n: int) -> int:
-    first = [-1] * n
-    second = [0] * n
-    for i, s in enumerate(w):
-        if first[s] < 0:
-            first[s] = i
-        else:
-            second[s] = i
-    mask = 0
-    for a in range(n):
-        p1, p2 = first[a], second[a]
-        for b in range(a + 1, n):
-            if (p1 < first[b] < p2) != (p1 < second[b] < p2):
-                mask |= 1 << en.pair_index(a, b)
-    return mask
-
-
-def _transpose_raw(
-    w: tuple[int, ...], p1: int, q1: int, p2: int, q2: int
-) -> tuple[int, ...]:
-    # positions must satisfy p1 < q1 < p2 < q2 (a at p1,p2; b at q1,q2)
-    return w[: p1 + 1] + w[p2 + 1 : q2] + w[q1 : p2 + 1] + w[p1 + 1 : q1] + w[q2:]
-
-
 def _swap_pivot_tables(n: int) -> dict[tuple[int, int], np.ndarray]:
     """For each vertex pair, the map H -> (H^{ab})_{ab} on edge masks.
 
@@ -514,51 +495,40 @@ def _orbit_checks_for_order(report: VerificationReport, n: int) -> None:
         arcs = sorted((w[i], w[(i + 1) % len(w)]) for i in range(len(w)))
         dkey = bytes(v for arc in arcs for v in arc)
         groups.setdefault(dkey, []).append(w)
-        hmask[w] = _word_hmask(w, n)
+        h = 0
+        for a, b, _, _, _, _ in _interlaced_pairs(*_occurrences(w)):
+            h |= 1 << en.pair_index(a, b)
+        hmask[w] = h
 
     # pass 2: per word, transpositions preserve the group and the
     # interlace graphs commute with pivot-plus-swap (exhaustive)
     group_of = {w: dk for dk, ws in groups.items() for w in ws}
     for w, dk in group_of.items():
-        first = [-1] * n
-        second = [0] * n
-        for i, s in enumerate(w):
-            if first[s] < 0:
-                first[s] = i
-            else:
-                second[s] = i
         h = hmask[w]
-        for a in range(n):
-            p1, p2 = first[a], second[a]
-            for b in range(a + 1, n):
-                q1, q2 = first[b], second[b]
-                crosses = (p1 < q1 < p2) != (p1 < q2 < p2)
-                if not crosses:
-                    continue
-                if p1 < q1 < p2 < q2:
-                    t = _transpose_raw(w, p1, q1, p2, q2)
-                else:
-                    t = _transpose_raw(w, q1, p1, q2, p2)
-                t = _canonical_rotation(t)
-                report.count(2)
-                if group_of.get(t) != dk:
-                    report.record(_word_text(w), "transposition left the digraph")
-                if hmask[t] != int(swap_pivot[(a, b)][h]):
-                    report.record(
-                        _word_text(w), f"H(transpose {a},{b}) != swapped pivot"
-                    )
+        for a, b, i, j, k, l in _interlaced_pairs(*_occurrences(w)):
+            t = _canonical_rotation(_transpose_slice(w, i + 1, j, k + 1, l))
+            report.count(2)
+            if group_of.get(t) != dk:
+                report.record(_word_text(w), "transposition left the digraph")
+            if hmask[t] != int(swap_pivot[(a, b)][h]):
+                report.record(
+                    _word_text(w), f"H(transpose {a},{b}) != swapped pivot"
+                )
 
     # pass 3: per digraph, the circuit orbit is everything
     for dkey, words in groups.items():
         rep = words[0]
-        best = _best_count_raw(rep, n)
-        orbit_words, orbit_size = _circuit_orbit_raw(rep, n)
+        best = _best_cofactor(n, zip(rep, rep[1:] + rep[:1]))
+        orbit = _circuit_orbit(rep)
         q1 = int(q1_of_mask[hmask[rep]])
         report.count(3)
-        if orbit_size != best:
+        if len(orbit) != best:
             report.record(_word_text(rep), "circuit orbit size != BEST count")
         if best != q1:
             report.record(_word_text(rep), "BEST count != q(H;1)")
+        orbit_words = {
+            _canonical_rotation(tuple(map(rep.__getitem__, c))) for c in orbit
+        }
         if orbit_words != set(words):
             report.record(_word_text(rep), "circuit orbit words != digraph's words")
 
@@ -588,61 +558,6 @@ def _orbit_checks_for_order(report: VerificationReport, n: int) -> None:
 
 def _word_text(w: tuple[int, ...]) -> str:
     return " ".join(str(s + 1) for s in w)
-
-
-def _best_count_raw(w: tuple[int, ...], n: int) -> int:
-    from .euler import _bareiss_determinant
-
-    lap = [[0] * n for _ in range(n)]
-    for i in range(len(w)):
-        t, h = w[i], w[(i + 1) % len(w)]
-        if t != h:
-            lap[t][t] += 1
-            lap[t][h] -= 1
-    return _bareiss_determinant([row[1:] for row in lap[1:]])
-
-
-def _circuit_orbit_raw(w: tuple[int, ...], n: int) -> tuple[set, int]:
-    """BFS the arc-level transposition orbit of the word's own circuit.
-
-    Returns (set of canonical visit words, orbit size).  Arc e runs from
-    w[e] to w[e+1], so the visit word of a circuit is w gathered along it.
-    """
-    length = len(w)
-    start = tuple(range(length))
-    seen = {start}
-    stack = [start]
-    words = set()
-    while stack:
-        c = stack.pop()
-        word = tuple(w[e] for e in c)
-        words.add(_canonical_rotation(word))
-        first = [-1] * n
-        second = [0] * n
-        for i, s in enumerate(word):
-            if first[s] < 0:
-                first[s] = i
-            else:
-                second[s] = i
-        for a in range(n):
-            p1, p2 = first[a], second[a]
-            for b in range(a + 1, n):
-                q1, q2 = first[b], second[b]
-                if (p1 < q1 < p2) == (p1 < q2 < p2):
-                    continue
-                if not p1 < q1 < p2 < q2:
-                    r1, s1, r2, s2 = q1, p1, q2, p2
-                else:
-                    r1, s1, r2, s2 = p1, q1, p2, q2
-                # arc-level exchange: the arcs spanning each a-to-b
-                # stretch move as a block (c[r1:s1] and c[r2:s2])
-                t = c[:r1] + c[r2:s2] + c[s1:r2] + c[r1:s1] + c[s2:]
-                i = t.index(0)
-                t = t[i:] + t[:i]
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-    return words, len(seen)
 
 
 # ===========================================================================

@@ -90,7 +90,18 @@ def test_enumerate_small(capsys):
 
 def test_enumerate_refuses_large_without_force(capsys):
     code, _, err = run_cli(capsys, "enumerate", "9")
-    assert code == 2 and "--force" in err
+    assert code == 2
+    assert err == (
+        "error: order 9 exceeds 7, the largest order enumerate covers"
+        " (2^C(n,2) graphs)\n"
+    )
+
+
+def test_enumerate_force_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "8", "--force"])
+    assert exc.value.code == 2
+    assert "--force" in capsys.readouterr().err
 
 
 def test_verify_identities(capsys):
@@ -123,8 +134,10 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2 and "error:" in err
     f = tmp_path / "w.txt"
     f.write_text("1 2 1 2\n")
-    code, _, err = run_cli(capsys, "poly", str(f), "--format", "word")
-    assert code == 2 and "format" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["poly", str(f), "--format", "word"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2 3\n")  # not a double occurrence word
     code, _, err = run_cli(capsys, "euler", "count", str(bad))
