@@ -17,6 +17,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import enumeration as en
 from .euler import (
     DoubleOccurrenceWord,
@@ -29,6 +31,7 @@ from .euler import (
 )
 from .graphs import Graph, from_graph6, parse_edge_list, to_graph6
 from .interlace import interlace_polynomial
+from .polynomials import IntPolynomial
 from .suites import (
     run_conjecture_suite,
     run_extremal_suite,
@@ -92,46 +95,42 @@ def cmd_euler(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
+    if n < 0:
+        raise ValueError(f"order must be at least 0, got {n}")
     if n > en.TABLE_MAX_ORDER:
         raise ValueError(
             f"order {n} exceeds {en.TABLE_MAX_ORDER}, the largest order"
             " enumerate covers (2^C(n,2) graphs)"
         )
     rows = en.CoefficientTable(n).table(n)
-    polys = ((mask, tuple(map(int, rows[mask]))) for mask in range(len(rows)))
+    masks = np.arange(len(rows))
+    if args.connected:
+        masks = masks[en.component_count_table(n) <= 1]
 
-    from .graphs import is_connected
-    from .polynomials import IntPolynomial
+    def poly_and_graph6(coeffs, mask):
+        q = IntPolynomial(tuple(map(int, coeffs)))
+        return q, to_graph6(en.graph_of_mask(n, int(mask)))
 
     if args.distinct:
-        census: dict[tuple, list] = {}
-        for mask, coeffs in polys:
-            g = en.graph_of_mask(n, mask)
-            if args.connected and not is_connected(g):
-                continue
-            entry = census.setdefault(coeffs, [0, mask])
-            entry[0] += 1
-        for coeffs, (count, mask) in sorted(census.items(), key=lambda kv: kv[1][1]):
-            q = IntPolynomial(coeffs)
-            g6 = to_graph6(en.graph_of_mask(n, mask))
+        # each row as one opaque value: np.unique(axis=0) sorts ~8x slower
+        row_bytes = rows.itemsize * rows.shape[1]
+        keys = rows[masks].view(np.dtype((np.void, row_bytes)))[:, 0]
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        for i in np.argsort(first):  # in order of each polynomial's first mask
+            mask = masks[first[i]]
+            q, g6 = poly_and_graph6(rows[mask], mask)
+            count = int(counts[i])
             if args.json:
-                print(
-                    json.dumps(
-                        {"count": count, "graph6": g6, **q.to_json_dict()}
-                    )
-                )
+                print(json.dumps({"count": count, "graph6": g6, **q.to_json_dict()}))
             else:
                 print(f"{count}\t{g6}\t{q}")
     else:
-        for mask, coeffs in polys:
-            g = en.graph_of_mask(n, mask)
-            if args.connected and not is_connected(g):
-                continue
-            q = IntPolynomial(coeffs)
+        for mask in masks:
+            q, g6 = poly_and_graph6(rows[mask], mask)
             if args.json:
-                print(json.dumps({"graph6": to_graph6(g), **q.to_json_dict()}))
+                print(json.dumps({"graph6": g6, **q.to_json_dict()}))
             else:
-                print(f"{to_graph6(g)}\t{q}")
+                print(f"{g6}\t{q}")
     return 0
 
 

@@ -13,9 +13,10 @@ each order is one vectorized pass over the previous order's table.  That
 is what makes exhaustive identity checking over all 2,097,152 graphs of
 order 7 a minutes-scale job instead of an hours-scale one.
 
-The mask-level operations (vertex deletion, pivot, label swap) and the
-per-graph structure tables (independence number, component count, edge
-count, isolated vertices) are all vectorized over mask arrays as well.
+The mask-level operations (vertex deletion, pivot, label swap, the
+component of each vertex) and the per-graph structure tables
+(independence number, component count, edge count, isolated vertices)
+are all vectorized over mask arrays as well.
 
 Orders above 7 are rejected: the order-8 table alone would hold 2^28
 rows.  Use the recursive engine for individual larger graphs.
@@ -204,37 +205,55 @@ def isolated_count_table(n: int) -> np.ndarray:
     return count
 
 
+def induced_pair_masks(n: int) -> np.ndarray:
+    """``table[s]`` is the mask of the vertex pairs inside the vertex set s
+    (a bitmask over range(n)), i.e. of the complete graph on s."""
+    subsets = np.arange(1 << n, dtype=np.int64)
+    table = np.zeros(1 << n, dtype=np.int64)
+    for i, j in combinations(range(n), 2):
+        table |= (subsets >> i & subsets >> j & 1) << pair_index(i, j)
+    return table
+
+
 def independence_number_table(n: int) -> np.ndarray:
     """alpha(G) for every order-n graph: a subset is independent iff the
     mask avoids every pair bit inside it."""
     masks = np.arange(1 << pair_count(n), dtype=np.int64)
     alpha = np.zeros(len(masks), dtype=np.int8)
-    for subset in range(1, 1 << n):
-        verts = [v for v in range(n) if subset >> v & 1]
-        within = 0
-        for a, b in combinations(verts, 2):
-            within |= 1 << pair_index(a, b)
-        size = len(verts)
-        np.maximum(alpha, np.int8(size) * ((masks & within) == 0), out=alpha)
+    for subset, within in enumerate(induced_pair_masks(n)):
+        size = np.int8(subset.bit_count())
+        np.maximum(alpha, size * ((masks & within) == 0), out=alpha)
     return alpha
 
 
-def component_count_table(n: int) -> np.ndarray:
-    """Number of connected components of every order-n graph, by
-    vectorized minimum-label propagation (n relaxation rounds suffice)."""
-    masks = np.arange(1 << pair_count(n), dtype=np.int64)
-    labels = np.tile(np.arange(n, dtype=np.int8), (len(masks), 1))
-    pairs = list(combinations(range(n), 2))
-    for _ in range(n):
-        for x, y in pairs:
-            has = (masks >> pair_index(x, y) & 1).astype(bool)
-            mn = np.minimum(labels[:, x], labels[:, y])
-            labels[:, x] = np.where(has, mn, labels[:, x])
-            labels[:, y] = np.where(has, mn, labels[:, y])
-    count = np.zeros(len(masks), dtype=np.int8)
+def vertex_component_masks(masks: np.ndarray, n: int) -> np.ndarray:
+    """``out[k, v]`` is the uint8 vertex mask of v's component in the graph
+    masks[k] of order n <= TABLE_MAX_ORDER: adjacency rows closed under
+    reachability by Warshall's algorithm, one in-place step per vertex."""
+    masks = masks.astype(np.uint32)  # C(7,2) = 21 bits
+    reach = np.empty((n, len(masks)), dtype=np.uint8)
     for v in range(n):
-        count += labels[:, v] == v
-    return count
+        reach[v] = 1 << v
+    for x, y in combinations(range(n), 2):
+        has = (masks >> pair_index(x, y)).astype(np.uint8) & 1
+        reach[x] |= has << y
+        reach[y] |= has << x
+    for u in range(n):
+        reach |= -(reach >> u & 1) & reach[u]
+    return reach.T
+
+
+def component_count_table(n: int) -> np.ndarray:
+    """Number of connected components of every order-n graph: the vertices
+    whose component holds no lower vertex."""
+    masks = np.arange(1 << pair_count(n), dtype=np.int64)
+    comp = vertex_component_masks(masks, n)
+    return lowest_in_component(comp).sum(axis=1, dtype=np.int8)
+
+
+def lowest_in_component(comp: np.ndarray) -> np.ndarray:
+    """True where v is the lowest vertex of its component mask comp[k, v]."""
+    return (comp & -comp) == 1 << np.arange(comp.shape[1], dtype=np.uint8)
 
 
 # -- unlabeled free trees ----------------------------------------------------

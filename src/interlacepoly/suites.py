@@ -167,7 +167,7 @@ def _identity_graph_checks(
 ) -> None:
     T = table.table(n)
     masks = np.arange(len(T), dtype=np.int64)
-    g6 = lambda mask: to_graph6(en.graph_of_mask(n, int(mask)))
+    comp = en.component_count_table(n)
 
     # q(2) = 2^n and q(-1) = +/- 2^k
     report.record_mask_failures(
@@ -185,7 +185,7 @@ def _identity_graph_checks(
     # lowest degree = component count; degree bounds
     deg = table.degrees(n)
     report.record_mask_failures(
-        n, masks, table.lowest_degrees(n) == en.component_count_table(n),
+        n, masks, table.lowest_degrees(n) == comp,
         "lowest nonzero degree != component count",
     )
     report.record_mask_failures(
@@ -204,7 +204,6 @@ def _identity_graph_checks(
             )
 
     if n >= 2:
-        comp = en.component_count_table(n)
         prev = table.table(n - 1)
         for a in range(n):
             for b in range(n):
@@ -588,13 +587,14 @@ def run_extremal_suite(n_max: int = 7) -> VerificationReport:
     fib = [0, 1]
     while len(fib) < en.pair_count(n_max) + 4:
         fib.append(fib[-1] + fib[-2])
+    fib = np.array(fib, dtype=np.int64)
     for n in range(n_max + 1):
         _extremal_checks_for_order(report, table, n, fib)
     return _finish(report, t0)
 
 
 def _extremal_checks_for_order(
-    report: VerificationReport, table: en.CoefficientTable, n: int, fib: list[int]
+    report: VerificationReport, table: en.CoefficientTable, n: int, fib: np.ndarray
 ) -> None:
     T = table.table(n)
     masks = np.arange(len(T), dtype=np.int64)
@@ -613,7 +613,7 @@ def _extremal_checks_for_order(
         report.record(f"order {n}", "q(1)=e+1 class != tripartite+isolated class")
 
     # size upper bounds
-    fib_bound = np.array([fib[int(m) + 2] for m in edges], dtype=np.int64)
+    fib_bound = fib[edges + 2]
     report.record_mask_failures(
         n, masks[connected], (q1 <= fib_bound)[connected],
         "connected q(1) > F_{m+2}",
@@ -622,7 +622,11 @@ def _extremal_checks_for_order(
     report.count(1)
     if n >= 2 and eq_paths != _labeled_path_masks(n):
         report.record(f"order {n}", "Fibonacci equality class != paths")
-    _componentwise_fibonacci_check(report, n, comp, q1, fib)
+    split = masks[comp >= 2]
+    report.record_mask_failures(
+        n, split, q1[split] <= _componentwise_fibonacci_bounds(split, n, fib),
+        "q(1) > product of component Fibonacci bounds",
+    )
     report.record_mask_failures(n, masks, q1 <= 2**edges, "q(1) > 2^e")
     eq_match = {int(m) for m in masks[q1 == 2**edges]}
     report.count(1)
@@ -678,25 +682,17 @@ def _extremal_checks_for_order(
     # components gives two terms) is checked separately below.
     terms = table.nonzero_term_counts(n)
     two_term = masks[terms == 2]
-    ok_two = np.fromiter(
-        (
-            _is_solid_path_plus_complete(en.graph_of_mask(n, int(mask)))
-            for mask in two_term
-        ),
-        dtype=bool,
-        count=len(two_term),
-    )
+    # kind="table": the sort method calls np.unique, whose lazy import of
+    # numpy.ma here pinned freed heap and raised the sweep's peak RSS
+    solid = np.array(sorted(_solid_path_plus_complete_masks(n)), dtype=np.int64)
     report.record_mask_failures(
-        n, two_term, ok_two,
+        n, two_term, np.isin(two_term, solid, kind="table"),
         "two-term graph is not solid-path + complete components",
     )
-    for mask in _solid_path_plus_complete_masks(n):
-        report.count(1)
-        if terms[mask] != 2:
-            report.record(
-                to_graph6(en.graph_of_mask(n, mask)),
-                "solid path + complete components without exactly two terms",
-            )
+    report.record_mask_failures(
+        n, solid, terms[solid] == 2,
+        "solid path + complete components without exactly two terms",
+    )
     if n >= 3:
         want = np.zeros(n + 1, dtype=np.int64)
         want[1] = 2
@@ -706,14 +702,10 @@ def _extremal_checks_for_order(
             n, masks[sel], (T[sel] == want).all(axis=1),
             "(n-1)-term polynomial is not 2x + x^2 + ... + x^(n-1)",
         )
-        star_set = _star_masks(n)
-        in_stars = np.fromiter(
-            (int(mask) in star_set for mask in masks[sel]),
-            dtype=bool,
-            count=int(sel.sum()),
-        )
+        stars = np.array(sorted(_star_masks(n)), dtype=np.int64)
         report.record_mask_failures(
-            n, masks[sel], in_stars, "(n-1)-term graph is not a star"
+            n, masks[sel], np.isin(masks[sel], stars, kind="table"),
+            "(n-1)-term graph is not a star",
         )
 
 
@@ -829,64 +821,16 @@ def _solid_path_plus_complete_masks(n: int) -> set[int]:
     return out
 
 
-def _componentwise_fibonacci_check(
-    report: VerificationReport, n: int, comp: np.ndarray, q1: np.ndarray, fib: list[int]
-) -> None:
-    from .graphs import component_masks
-
-    disconnected = np.flatnonzero(comp >= 2)
-    for mask in map(int, disconnected):
-        g = en.graph_of_mask(n, mask)
-        bound = 1
-        for cm in component_masks(g):
-            verts = [v for v in range(n) if cm >> v & 1]
-            m_edges = sum(
-                1 for a, b in combinations(verts, 2) if g.has_edge(a, b)
-            )
-            bound *= fib[m_edges + 2]
-        report.count(1)
-        if int(q1[mask]) > bound:
-            report.record(to_graph6(g), "q(1) > product of component Fibonacci bounds")
-
-
-def _true_twin_classes(g: Graph) -> list[int]:
-    closed = [g.rows[v] | (1 << v) for v in range(g.n)]
-    reps: list[int] = []
-    cls = [0] * g.n
-    for v in range(g.n):
-        for i, r in enumerate(reps):
-            if closed[v] == r:
-                cls[v] = i
-                break
-        else:
-            cls[v] = len(reps)
-            reps.append(closed[v])
-    return cls
-
-
-def _is_solid_path_plus_complete(g: Graph) -> bool:
-    from .graphs import component_masks, induced_subgraph
-
-    path_components = 0
-    for cm in component_masks(g):
-        sub = induced_subgraph(g, [v for v in range(g.n) if cm >> v & 1])
-        if sub.edge_count == sub.n * (sub.n - 1) // 2:
-            continue  # complete component
-        cls = _true_twin_classes(sub)
-        k = max(cls) + 1
-        if k not in (3, 4):
-            return False
-        # quotient must be the path 0-1-...-k-1 after sorting classes along it
-        quotient = {(min(cls[a], cls[b]), max(cls[a], cls[b])) for a, b in sub.edges()
-                    if cls[a] != cls[b]}
-        degrees = [0] * k
-        for a, b in quotient:
-            degrees[a] += 1
-            degrees[b] += 1
-        if sorted(degrees) != [1, 1] + [2] * (k - 2) or len(quotient) != k - 1:
-            return False
-        path_components += 1
-    return path_components == 1
+def _componentwise_fibonacci_bounds(
+    masks: np.ndarray, n: int, fib: np.ndarray
+) -> np.ndarray:
+    """Product of F_{m+2} over the components of each order-n graph in
+    masks, m being the component's edge count; each component is counted
+    once, at its lowest vertex."""
+    comp = en.vertex_component_masks(masks, n)
+    edges = np.bitwise_count(masks[:, None] & en.induced_pair_masks(n)[comp])
+    factors = np.where(en.lowest_in_component(comp), fib[edges + 2], 1)
+    return factors.prod(axis=1)
 
 
 # ===========================================================================

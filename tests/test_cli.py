@@ -5,6 +5,8 @@ import json
 import pytest
 
 from interlacepoly.cli import main
+from interlacepoly.enumeration import all_graphs
+from interlacepoly.interlace import interlace_polynomial
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +88,25 @@ def test_enumerate_small(capsys):
     assert len(out.strip().splitlines()) == 4  # distinct polynomials
     code, out, _ = run_cli(capsys, "enumerate", "1")
     assert code == 0 and out.strip().split("\t")[1] == "x"
+
+
+def test_enumerate_distinct_connected(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "4", "--distinct", "--connected")
+    assert code == 0
+    census: dict[str, int] = {}
+    for g in all_graphs(4, connected_only=True):
+        q = str(interlace_polynomial(g))
+        census[q] = census.get(q, 0) + 1
+    lines = [line.split("\t") for line in out.strip().splitlines()]
+    assert {q: int(count) for count, _, q in lines} == census
+    assert len(lines) == len(census)
+    assert sum(int(count) for count, _, _ in lines) == 38
+
+
+def test_enumerate_negative_order(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "-1", "--distinct")
+    assert code == 2 and out == ""
+    assert err == "error: order must be at least 0, got -1\n"
 
 
 def test_enumerate_refuses_large_without_force(capsys):

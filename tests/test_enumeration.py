@@ -17,6 +17,7 @@ from interlacepoly.graphs import (
     Graph,
     TooLargeError,
     component_count,
+    component_masks,
     delete_vertex,
     independence_number,
     is_connected,
@@ -123,6 +124,22 @@ def test_structure_tables_match_per_graph_functions():
             assert comp[mask] == component_count(g)
             assert edges[mask] == g.edge_count
             assert iso[mask] == sum(1 for v in range(n) if g.degree(v) == 0)
+
+
+def test_component_tables_match_graph_components():
+    rng = random.Random(19)
+    cases = [(n, range(1 << en.pair_count(n))) for n in range(6)]
+    cases.append((7, [rng.randrange(1 << 21) for _ in range(2000)]))
+    for n, masks in cases:
+        masks = np.array(masks, dtype=np.int64)
+        count = en.component_count_table(n)
+        comp = en.vertex_component_masks(masks, n)
+        assert comp.shape == (len(masks), n) and comp.dtype == np.uint8
+        for mask, row in zip(map(int, masks), comp.tolist()):
+            g = en.graph_of_mask(n, mask)
+            expected = component_masks(g)
+            assert count[mask] == component_count(g) == len(expected)
+            assert row == [next(c for c in expected if c >> v & 1) for v in range(n)]
 
 
 def test_free_trees():

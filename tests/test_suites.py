@@ -2,9 +2,15 @@
 
 import json
 
+import numpy as np
+
+from interlacepoly import enumeration as en
+from interlacepoly.graphs import Graph, component_masks, induced_subgraph
 from interlacepoly.polynomials import IntPolynomial
 from interlacepoly.suites import (
     VerificationReport,
+    _componentwise_fibonacci_bounds,
+    _solid_path_plus_complete_masks,
     loop_digraph_polynomials,
     run_conjecture_suite,
     run_extremal_suite,
@@ -35,6 +41,73 @@ def test_extremal_suite_known_two_term_counterexamples():
     # the 4-cycle is among the flagged instances (graph6 "C]" et al.)
     flagged = {v["graph6"] for v in rep.violations}
     assert "C]" in flagged or "Cl" in flagged or "Cr" in flagged
+
+
+def _true_twin_classes(g: Graph) -> list[int]:
+    closed = [g.rows[v] | (1 << v) for v in range(g.n)]
+    reps: list[int] = []
+    cls = [0] * g.n
+    for v in range(g.n):
+        for i, r in enumerate(reps):
+            if closed[v] == r:
+                cls[v] = i
+                break
+        else:
+            cls[v] = len(reps)
+            reps.append(closed[v])
+    return cls
+
+
+def _is_solid_path_plus_complete(g: Graph) -> bool:
+    """Structural classifier, independent of the enumerated mask set: the
+    non-complete components, reduced by true twins, must be exactly one
+    path on 3 or 4 classes."""
+    path_components = 0
+    for cm in component_masks(g):
+        sub = induced_subgraph(g, [v for v in range(g.n) if cm >> v & 1])
+        if sub.edge_count == sub.n * (sub.n - 1) // 2:
+            continue  # complete component
+        cls = _true_twin_classes(sub)
+        k = max(cls) + 1
+        if k not in (3, 4):
+            return False
+        # quotient must be the path 0-1-...-k-1 after sorting classes along it
+        quotient = {(min(cls[a], cls[b]), max(cls[a], cls[b])) for a, b in sub.edges()
+                    if cls[a] != cls[b]}
+        degrees = [0] * k
+        for a, b in quotient:
+            degrees[a] += 1
+            degrees[b] += 1
+        if sorted(degrees) != [1, 1] + [2] * (k - 2) or len(quotient) != k - 1:
+            return False
+        path_components += 1
+    return path_components == 1
+
+
+def test_solid_path_set_matches_structural_classifier():
+    table = en.CoefficientTable(6)
+    for n in range(7):
+        solid = _solid_path_plus_complete_masks(n)
+        two_term = np.flatnonzero(table.nonzero_term_counts(n) == 2)
+        for mask in map(int, two_term):
+            g = en.graph_of_mask(n, mask)
+            assert (mask in solid) == _is_solid_path_plus_complete(g), (n, mask)
+
+
+def test_componentwise_fibonacci_bounds_match_per_graph_product():
+    fib = [0, 1]
+    while len(fib) < en.pair_count(6) + 3:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(7):
+        split = np.flatnonzero(en.component_count_table(n) >= 2)
+        bounds = _componentwise_fibonacci_bounds(split, n, np.array(fib))
+        for mask, bound in zip(map(int, split), bounds):
+            g = en.graph_of_mask(n, mask)
+            expected = 1
+            for cm in component_masks(g):
+                sub = induced_subgraph(g, [v for v in range(n) if cm >> v & 1])
+                expected *= fib[sub.edge_count + 2]
+            assert bound == expected, (n, mask)
 
 
 def test_conjecture_suite_small_scale():
