@@ -95,8 +95,6 @@ def cmd_euler(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
-    if n < 0:
-        raise ValueError(f"order must be at least 0, got {n}")
     if n > en.TABLE_MAX_ORDER:
         raise ValueError(
             f"order {n} exceeds {en.TABLE_MAX_ORDER}, the largest order"
@@ -135,6 +133,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag in ("n_max", "words_n_max", "samples"):
+        value = getattr(args, flag)
+        if value < 0:
+            raise ValueError(
+                f"--{flag.replace('_', '-')} must be at least 0, got {value}"
+            )
     reports = []
     if args.suite == "identities":
         reports.append(

@@ -24,6 +24,7 @@ rows.  Use the recursive engine for individual larger graphs.
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Iterator
 
@@ -83,6 +84,40 @@ def all_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
 # -- vectorized mask operations --------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def induced_pair_masks(n: int) -> np.ndarray:
+    """K[S]: ``table[s]`` is the mask of the vertex pairs inside the vertex
+    set s (a bitmask over range(n)), i.e. of the complete graph on s.
+    Built once per order and shared, so the table is read-only."""
+    subsets = np.arange(1 << n, dtype=np.int64)
+    table = np.zeros(1 << n, dtype=np.int64)
+    for i, j in combinations(range(n), 2):
+        table |= (subsets >> i & subsets >> j & 1) << pair_index(i, j)
+    table.flags.writeable = False
+    return table
+
+
+def multipartite_masks(n: int, *parts: int | np.ndarray) -> np.ndarray:
+    """Masks of the complete multipartite graph on the disjoint vertex sets
+    ``parts`` (vertex bitmasks, or arrays of them): K[union] minus each
+    K[part]."""
+    K = induced_pair_masks(n)
+    out = K[reduce(np.bitwise_or, parts)]
+    for part in parts:
+        out ^= K[part]
+    return out
+
+
+def neighbor_sets(masks: np.ndarray, v: int, n: int) -> np.ndarray:
+    """N(v), as a uint8 vertex bitmask, in each graph of masks (order n).
+    The pairs uv with u < v are one contiguous bit field starting at
+    pair_index(0, v); each u > v contributes one bit."""
+    out = (masks >> pair_index(0, v)).astype(np.uint8) & (1 << v) - 1
+    for u in range(v + 1, n):
+        out |= ((masks >> pair_index(v, u)).astype(np.uint8) & 1) << u
+    return out
+
+
 def delete_vertex_masks(masks: np.ndarray, v: int, n: int) -> np.ndarray:
     """Masks of G - v (order n-1, compacted labels) for an array of masks."""
     out = np.zeros_like(masks)
@@ -96,18 +131,14 @@ def delete_vertex_masks(masks: np.ndarray, v: int, n: int) -> np.ndarray:
 
 
 def pivot_masks(masks: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    """Masks of the pivot G^{ab}; callers must ensure bit ab is set."""
-    out = masks.copy()
-    others = [x for x in range(n) if x not in (a, b)]
-    for idx, x in enumerate(others):
-        ax = masks >> pair_index(a, x) & 1
-        bx = masks >> pair_index(b, x) & 1
-        for y in others[idx + 1 :]:
-            ay = masks >> pair_index(a, y) & 1
-            by = masks >> pair_index(b, y) & 1
-            toggle = (ax | bx) & (ay | by) & ((ax ^ ay) | (bx ^ by))
-            out ^= toggle << pair_index(x, y)
-    return out
+    """Masks of the pivot G^{ab}; callers must ensure bit ab is set.
+
+    The pivot toggles the complete tripartite graph on the vertices other
+    than a and b that see a only, b only, and both.
+    """
+    na, nb = neighbor_sets(masks, a, n), neighbor_sets(masks, b, n)
+    toggle = multipartite_masks(n, na & ~nb ^ 1 << b, nb & ~na ^ 1 << a, na & nb)
+    return masks ^ toggle
 
 
 def label_swap_masks(masks: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
@@ -131,6 +162,8 @@ class CoefficientTable:
     the order-k graph encoded by mask."""
 
     def __init__(self, n_max: int):
+        if n_max < 0:
+            raise ValueError(f"order must be at least 0, got {n_max}")
         if n_max > TABLE_MAX_ORDER:
             raise TooLargeError(
                 f"coefficient tables stop at order {TABLE_MAX_ORDER}"
@@ -190,11 +223,8 @@ def edge_count_table(n: int) -> np.ndarray:
 
 
 def incident_bits(n: int, v: int) -> int:
-    mask = 0
-    for u in range(n):
-        if u != v:
-            mask |= 1 << pair_index(u, v)
-    return mask
+    """The mask of the pairs that hold v: the star from v to the rest."""
+    return int(multipartite_masks(n, 1 << v, (1 << n) - 1 ^ 1 << v))
 
 
 def isolated_count_table(n: int) -> np.ndarray:
@@ -203,16 +233,6 @@ def isolated_count_table(n: int) -> np.ndarray:
     for v in range(n):
         count += (masks & incident_bits(n, v)) == 0
     return count
-
-
-def induced_pair_masks(n: int) -> np.ndarray:
-    """``table[s]`` is the mask of the vertex pairs inside the vertex set s
-    (a bitmask over range(n)), i.e. of the complete graph on s."""
-    subsets = np.arange(1 << n, dtype=np.int64)
-    table = np.zeros(1 << n, dtype=np.int64)
-    for i, j in combinations(range(n), 2):
-        table |= (subsets >> i & subsets >> j & 1) << pair_index(i, j)
-    return table
 
 
 def independence_number_table(n: int) -> np.ndarray:
@@ -233,11 +253,7 @@ def vertex_component_masks(masks: np.ndarray, n: int) -> np.ndarray:
     masks = masks.astype(np.uint32)  # C(7,2) = 21 bits
     reach = np.empty((n, len(masks)), dtype=np.uint8)
     for v in range(n):
-        reach[v] = 1 << v
-    for x, y in combinations(range(n), 2):
-        has = (masks >> pair_index(x, y)).astype(np.uint8) & 1
-        reach[x] |= has << y
-        reach[y] |= has << x
+        reach[v] = neighbor_sets(masks, v, n) | 1 << v
     for u in range(n):
         reach |= -(reach >> u & 1) & reach[u]
     return reach.T

@@ -21,8 +21,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
 import numpy as np
 
@@ -709,16 +711,16 @@ def _extremal_checks_for_order(
         )
 
 
+def _class_sets(n: int, k: int) -> np.ndarray:
+    """``sets[c, i]`` is the vertex set (a bitmask over range(n)) of class c
+    in the i-th of the k^n assignments of range(n) to classes 0..k-1."""
+    digits = np.arange(k**n) // k ** np.arange(n)[:, None] % k
+    weights = 1 << np.arange(n)
+    return np.stack([weights @ (digits == c) for c in range(k)])
+
+
 def _tripartite_plus_isolated_masks(n: int) -> set[int]:
-    out = set()
-    for assign in range(4**n):
-        cls = [(assign >> (2 * v)) & 3 for v in range(n)]
-        mask = 0
-        for i, j in combinations(range(n), 2):
-            if cls[i] != cls[j] and cls[i] < 3 and cls[j] < 3:
-                mask |= 1 << en.pair_index(i, j)
-        out.add(mask)
-    return out
+    return set(en.multipartite_masks(n, *_class_sets(n, 4)[:3]).tolist())
 
 
 def _labeled_path_masks(n: int) -> set[int]:
@@ -735,89 +737,66 @@ def _labeled_path_masks(n: int) -> set[int]:
     return out
 
 
-def _matching_masks(n: int) -> set[int]:
-    out = set()
+def _set_partitions(vertices: int):
+    """Every set partition of the vertex set ``vertices`` (a bitmask), as
+    a list of block bitmasks."""
+    if not vertices:
+        yield []
+        return
+    first = vertices & -vertices
+    for part in _set_partitions(vertices ^ first):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] | first] + part[i + 1 :]
+        yield part + [first]
 
-    def rec(avail: list[int], mask: int):
-        out.add(mask)
-        if len(avail) < 2:
-            return
-        v = avail[0]
-        rest = avail[1:]
-        rec(rest, mask)  # v stays isolated
-        for i, u in enumerate(rest):
-            rec(rest[:i] + rest[i + 1 :], mask | 1 << en.pair_index(v, u))
 
-    rec(list(range(n)), 0)
+def _cluster_masks(n: int, vertices: int, max_block: int) -> list[int]:
+    """Cluster graphs (disjoint cliques) on the vertex set ``vertices``: the
+    OR of K[block] over each set partition whose blocks hold at most
+    ``max_block`` vertices."""
+    K = en.induced_pair_masks(n).tolist()
+    out = []
+    for part in _set_partitions(vertices):
+        if all(b.bit_count() <= max_block for b in part):
+            out.append(reduce(or_, map(K.__getitem__, part), 0))
     return out
+
+
+def _matching_masks(n: int) -> set[int]:
+    return set(_cluster_masks(n, (1 << n) - 1, max_block=2))
 
 
 def _star_masks(n: int) -> set[int]:
-    out = set()
-    for center in range(n):
-        mask = 0
-        for v in range(n):
-            if v != center:
-                mask |= 1 << en.pair_index(center, v)
-        out.add(mask)
-    return out
+    return {en.incident_bits(n, c) for c in range(n)}
+
+
+def _solid_paths(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solid paths on k nonempty cliques C_0, ..., C_{k-1}, joined
+    completely to their neighbours along the path: the OR of
+    K[C_i | C_{i+1}].  One row per assignment of range(n) to k classes
+    plus a rest class; returns the path masks and the rest sets."""
+    sets = _class_sets(n, k + 1)
+    sets = sets[:, (sets[:k] != 0).all(axis=0)]
+    joins = en.induced_pair_masks(n)[sets[: k - 1] | sets[1:k]]
+    return np.bitwise_or.reduce(joins, axis=0), sets[k]
 
 
 def _solid_path2_masks(n: int) -> set[int]:
     """Solid three-class path graphs: cliques A,B,C (all nonempty) with
     complete joins A-B and B-C and nothing between A and C."""
-    out = set()
-    for assign in range(3**n):
-        cls = [0] * n
-        a = assign
-        for v in range(n):
-            cls[v] = a % 3
-            a //= 3
-        if len(set(cls)) != 3:
-            continue
-        mask = 0
-        for i, j in combinations(range(n), 2):
-            if {cls[i], cls[j]} != {0, 2}:
-                mask |= 1 << en.pair_index(i, j)
-        out.add(mask)
-    return out
-
-
-def _set_partitions(items: list[int]):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1 :]
-        yield part + [[first]]
+    paths, rest = _solid_paths(n, 3)
+    return set(paths[rest == 0].tolist())
 
 
 def _solid_path_plus_complete_masks(n: int) -> set[int]:
     """All labeled graphs made of one solid path of length 2 or 3 plus
     complete components: the true direction of the two-term statement."""
-    from itertools import product
-
     out = set()
     for k in (3, 4):  # path template classes (length 2 or 3)
-        if k > n:
-            continue
-        for assign in product(range(k + 1), repeat=n):
-            if any(c not in assign for c in range(k)):
-                continue
-            mask = 0
-            for i, j in combinations(range(n), 2):
-                ci, cj = assign[i], assign[j]
-                if ci < k and cj < k and abs(ci - cj) <= 1:
-                    mask |= 1 << en.pair_index(i, j)
-            rest = [v for v in range(n) if assign[v] == k]
-            for part in _set_partitions(rest):
-                full = mask
-                for block in part:
-                    for a, b in combinations(block, 2):
-                        full |= 1 << en.pair_index(a, b)
-                out.add(full)
+        paths, rest = _solid_paths(n, k)
+        for r in set(rest.tolist()):
+            clusters = np.array(_cluster_masks(n, r, n), dtype=np.int64)
+            out.update((paths[rest == r, None] | clusters).ravel().tolist())
     return out
 
 

@@ -150,6 +150,16 @@ def test_verify_conjectures(capsys):
     assert code == 0 and "PASS" in out
 
 
+@pytest.mark.parametrize(
+    "suite, flag",
+    [("extremal", "--n-max"), ("identities", "--words-n-max"), ("conjectures", "--samples")],
+)
+def test_verify_rejects_negative_counts(suite, flag, capsys):
+    code, out, err = run_cli(capsys, "verify", suite, flag, "-1")
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be at least 0, got -1\n"
+
+
 def test_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "poly", str(tmp_path / "missing.txt"))
     assert code == 2 and "error:" in err

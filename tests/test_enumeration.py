@@ -6,8 +6,9 @@ two routes to each other and the mask-level operations to the
 object-level ones.
 """
 
+import hashlib
 import random
-from itertools import combinations
+from itertools import compress, permutations
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from interlacepoly.graphs import (
     independence_number,
     is_connected,
     label_swap,
-    pivot,
+    pivot_brute,
 )
 from interlacepoly.interlace import interlace_polynomial
 
@@ -84,30 +85,41 @@ def test_table_matches_recursion_sampled_orders_5_to_7():
 def test_table_order_cap():
     with pytest.raises(TooLargeError):
         en.CoefficientTable(8)
+    with pytest.raises(ValueError, match="at least 0"):
+        en.CoefficientTable(-1)
+
+
+def test_table_order_6_bytes_are_pinned():
+    digest = hashlib.sha256(en.CoefficientTable(6).table(6).tobytes()).hexdigest()
+    assert digest == "d11de5658566c695e761fb3819bb73180497cc7ab1d95080cdaaa06463fa03e2"
+
+
+def _check_mask_operations(n, masks):
+    graphs = [en.graph_of_mask(n, int(m)) for m in masks]
+    for v in range(n):
+        deleted = en.delete_vertex_masks(masks, v, n)
+        neighbors = en.neighbor_sets(masks, v, n)
+        for g, dm, nv in zip(graphs, deleted, neighbors):
+            assert en.mask_of_graph(delete_vertex(g, v)[0]) == dm
+            assert nv == sum(1 << u for u in g.neighbors(v))
+    for a, b in permutations(range(n), 2):
+        swapped = en.label_swap_masks(masks, a, b, n)
+        for g, sm in zip(graphs, swapped):
+            assert en.mask_of_graph(label_swap(g, a, b)) == sm
+        has_ab = (masks >> en.pair_index(a, b) & 1) == 1
+        pivoted = en.pivot_masks(masks[has_ab], a, b, n)
+        for g, pm in zip(compress(graphs, has_ab), pivoted):
+            assert en.mask_of_graph(pivot_brute(g, a, b)) == pm
 
 
 def test_mask_operations_match_graph_operations():
+    """Every mask of order <= 5 and seeded order-7 samples, against the
+    object-level operations and the four-class pivot oracle."""
+    for n in range(6):
+        _check_mask_operations(n, np.arange(1 << en.pair_count(n), dtype=np.int64))
     rng = random.Random(13)
-    for n in (3, 5, 7):
-        masks = np.array(
-            [rng.randrange(1 << en.pair_count(n)) for _ in range(200)],
-            dtype=np.int64,
-        )
-        v = rng.randrange(n)
-        deleted = en.delete_vertex_masks(masks, v, n)
-        for mask, dm in zip(masks, deleted):
-            g = en.graph_of_mask(n, int(mask))
-            gd, _ = delete_vertex(g, v)
-            assert en.mask_of_graph(gd) == int(dm)
-        a, b = rng.sample(range(n), 2)
-        bit = 1 << en.pair_index(a, b)
-        with_edge = masks | bit
-        pivoted = en.pivot_masks(with_edge, a, b, n)
-        swapped = en.label_swap_masks(with_edge, a, b, n)
-        for mask, pm, sm in zip(with_edge, pivoted, swapped):
-            g = en.graph_of_mask(n, int(mask))
-            assert en.mask_of_graph(pivot(g, a, b)) == int(pm)
-            assert en.mask_of_graph(label_swap(g, a, b)) == int(sm)
+    masks = [rng.randrange(1 << en.pair_count(7)) for _ in range(200)]
+    _check_mask_operations(7, np.array(masks, dtype=np.int64))
 
 
 def test_structure_tables_match_per_graph_functions():

@@ -10,7 +10,10 @@ from interlacepoly.polynomials import IntPolynomial
 from interlacepoly.suites import (
     VerificationReport,
     _componentwise_fibonacci_bounds,
+    _matching_masks,
+    _solid_path2_masks,
     _solid_path_plus_complete_masks,
+    _tripartite_plus_isolated_masks,
     loop_digraph_polynomials,
     run_conjecture_suite,
     run_extremal_suite,
@@ -92,6 +95,17 @@ def test_solid_path_set_matches_structural_classifier():
         for mask in map(int, two_term):
             g = en.graph_of_mask(n, mask)
             assert (mask in solid) == _is_solid_path_plus_complete(g), (n, mask)
+
+
+def test_equality_class_sizes_are_pinned():
+    sizes = {
+        _tripartite_plus_isolated_masks: [1, 1, 2, 8, 36, 156, 652, 2668],
+        _matching_masks: [1, 1, 2, 4, 10, 26, 76, 232],
+        _solid_path2_masks: [0, 0, 0, 3, 18, 75, 270, 903],
+        _solid_path_plus_complete_masks: [0, 0, 0, 3, 42, 405, 3420, 27468],
+    }
+    for build, want in sizes.items():
+        assert [len(build(n)) for n in range(8)] == want, build.__name__
 
 
 def test_componentwise_fibonacci_bounds_match_per_graph_product():
