@@ -139,6 +139,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--{flag.replace('_', '-')} must be at least 0, got {value}"
             )
+    if args.words_n_max > en.TABLE_MAX_ORDER:
+        raise ValueError(
+            f"--words-n-max must be at most {en.TABLE_MAX_ORDER}, got {args.words_n_max}"
+        )
     reports = []
     if args.suite == "identities":
         reports.append(

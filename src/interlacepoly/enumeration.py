@@ -13,10 +13,12 @@ each order is one vectorized pass over the previous order's table.  That
 is what makes exhaustive identity checking over all 2,097,152 graphs of
 order 7 a minutes-scale job instead of an hours-scale one.
 
-The mask-level operations (vertex deletion, pivot, label swap, the
-component of each vertex) and the per-graph structure tables
-(independence number, component count, edge count, isolated vertices)
-are all vectorized over mask arrays as well.
+The mask-level operations (pivot, the component of each vertex) and the
+per-graph structure tables (independence number, component count, edge
+count, isolated vertices) are all vectorized over mask arrays as well.
+Every relabeling (vertex deletion, label swap, disjoint-union shift) and
+the neighbour sets are bit maps, each compiled once into one 256-entry
+table per source byte and applied as one gather and OR per byte.
 
 Orders above 7 are rejected: the order-8 table alone would hold 2^28
 rows.  Use the recursive engine for individual larger graphs.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -108,26 +110,48 @@ def multipartite_masks(n: int, *parts: int | np.ndarray) -> np.ndarray:
     return out
 
 
-def neighbor_sets(masks: np.ndarray, v: int, n: int) -> np.ndarray:
-    """N(v), as a uint8 vertex bitmask, in each graph of masks (order n).
-    The pairs uv with u < v are one contiguous bit field starting at
-    pair_index(0, v); each u > v contributes one bit."""
-    out = (masks >> pair_index(0, v)).astype(np.uint8) & (1 << v) - 1
-    for u in range(v + 1, n):
-        out |= ((masks >> pair_index(v, u)).astype(np.uint8) & 1) << u
+@lru_cache(maxsize=None)
+def _byte_tables(bit_map: tuple, dtype: np.dtype) -> np.ndarray:
+    """Compile a bit map (``bit_map[s]``: source bit s's destination, or None)
+    into read-only tables: entry x of table c maps byte c of a mask."""
+    if max((d for d in bit_map if d is not None), default=0) >= 8 * dtype.itemsize:
+        raise ValueError(f"a destination bit does not fit in {dtype}")
+    byte = np.arange(256, dtype=dtype)
+    tables = np.zeros((-(-len(bit_map) // 8), 256), dtype=dtype)
+    for s, d in enumerate(bit_map):
+        if d is not None:
+            tables[s // 8] |= (byte >> s % 8 & 1) << d
+    tables.flags.writeable = False
+    return tables
+
+
+def _map_bits(masks: np.ndarray, bit_map: tuple, dtype) -> np.ndarray:
+    """Apply a bit map to every mask: one gather and OR per source byte."""
+    out = np.zeros(masks.shape, dtype=dtype)
+    for c, table in enumerate(_byte_tables(bit_map, np.dtype(dtype))):
+        out |= np.take(table, (masks >> 8 * c).astype(np.uint8))
     return out
+
+
+def relabel_masks(masks: np.ndarray, image: Sequence, n: int) -> np.ndarray:
+    """Masks of the graphs (order n) with vertex x renamed image[x], or
+    deleted where image[x] is None: the mask-level twin of graphs.relabel."""
+    ends = [(image[i], image[j]) for j in range(n) for i in range(j)]  # bit order
+    bit_map = tuple(None if None in e else pair_index(*e) for e in ends)
+    return _map_bits(masks, bit_map, masks.dtype)
+
+
+def neighbor_sets(masks: np.ndarray, v: int, n: int) -> np.ndarray:
+    """N(v), as a uint8 vertex bitmask, in each graph of masks (order n):
+    the bit map sending each pair {u, v} to bit u."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]  # bit order
+    bit_map = tuple(i + j - v if v in (i, j) else None for i, j in pairs)
+    return _map_bits(masks, bit_map, np.uint8)
 
 
 def delete_vertex_masks(masks: np.ndarray, v: int, n: int) -> np.ndarray:
     """Masks of G - v (order n-1, compacted labels) for an array of masks."""
-    out = np.zeros_like(masks)
-    for x, y in combinations(range(n), 2):
-        if v in (x, y):
-            continue
-        src = pair_index(x, y)
-        dst = pair_index(x - (x > v), y - (y > v))
-        out |= (masks >> src & 1) << dst
-    return out
+    return relabel_masks(masks, [None if x == v else x - (x > v) for x in range(n)], n)
 
 
 def pivot_masks(masks: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
@@ -143,14 +167,7 @@ def pivot_masks(masks: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
 
 def label_swap_masks(masks: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     """Masks of G with vertices a and b exchanged."""
-
-    def swap(v):
-        return b if v == a else a if v == b else v
-
-    out = np.zeros_like(masks)
-    for x, y in combinations(range(n), 2):
-        out |= (masks >> pair_index(x, y) & 1) << pair_index(swap(x), swap(y))
-    return out
+    return relabel_masks(masks, [{a: b, b: a}.get(x, x) for x in range(n)], n)
 
 
 # -- the coefficient table ---------------------------------------------------
@@ -190,28 +207,30 @@ class CoefficientTable:
         return table
 
     def table(self, n: int) -> np.ndarray:
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"order must be in 0..{self.n_max}, got {n}")
         return self._tables[n]
 
     def coeffs(self, g: Graph) -> tuple[int, ...]:
-        row = self._tables[g.n][mask_of_graph(g)]
+        row = self.table(g.n)[mask_of_graph(g)]
         return tuple(int(c) for c in row)
 
     def evaluate(self, n: int, x0: int) -> np.ndarray:
         """q(G; x0) for every order-n graph, as a vector over masks."""
         powers = np.array([x0**d for d in range(n + 1)], dtype=np.int64)
-        return self._tables[n] @ powers
+        return self.table(n) @ powers
 
     def degrees(self, n: int) -> np.ndarray:
-        nz = self._tables[n] != 0
+        nz = self.table(n) != 0
         assert nz.any(axis=1).all(), "q is never the zero polynomial"
         return n - np.argmax(nz[:, ::-1], axis=1)
 
     def lowest_degrees(self, n: int) -> np.ndarray:
-        nz = self._tables[n] != 0
+        nz = self.table(n) != 0
         return np.argmax(nz, axis=1)
 
     def nonzero_term_counts(self, n: int) -> np.ndarray:
-        return (self._tables[n] != 0).sum(axis=1)
+        return (self.table(n) != 0).sum(axis=1)
 
 
 # -- vectorized structure tables ---------------------------------------------

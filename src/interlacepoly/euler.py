@@ -591,7 +591,11 @@ def martin_polynomial(
     Needs at least one arc or free loop, so that r has no constant term
     and the division is exact; otherwise NonzeroRemainderError is raised.
     """
-    r = circuit_partition_polynomial(d, max_systems)
+    return _martin_from_circuit_partition(circuit_partition_polynomial(d, max_systems))
+
+
+def _martin_from_circuit_partition(r: IntPolynomial) -> IntPolynomial:
+    """m(D; x) from r(D; x): r(D; x-1) / (x-1)."""
     return r.shift_argument(-1).divide_exact_by_x_minus_1()
 
 

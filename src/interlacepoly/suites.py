@@ -35,6 +35,7 @@ from .euler import (
     _canonical_rotation,
     _circuit_orbit,
     _interlaced_pairs,
+    _martin_from_circuit_partition,
     _occurrences,
     _transpose_slice,
     anti_circuit_count,
@@ -45,10 +46,9 @@ from .euler import (
     euler_circuits_brute,
     interlace_graph,
     loops_digraph,
-    martin_polynomial,
     resolve_vertex,
 )
-from .graphs import Graph, matching_number, to_graph6
+from .graphs import Graph, TooLargeError, matching_number, to_graph6
 from .interlace import interlace_polynomial
 from .polynomials import (
     IntPolynomial,
@@ -275,11 +275,8 @@ def _identity_graph_checks(
         n1 = n - n2
         big = table.table(n1)
         big_masks = np.arange(len(big), dtype=np.int64)
-        for mask2 in range(1 << en.pair_count(n2)):
-            shifted = 0
-            for i, j in combinations(range(n2), 2):
-                if mask2 >> en.pair_index(i, j) & 1:
-                    shifted |= 1 << en.pair_index(n1 + i, n1 + j)
+        small_masks = np.arange(1 << en.pair_count(n2), dtype=np.int64)
+        for mask2, shifted in enumerate(en.relabel_masks(small_masks, range(n1, n), n2)):
             small = table.table(n2)[mask2]
             expected = np.zeros((len(big), n + 1), dtype=np.int64)
             for d2 in range(n2 + 1):
@@ -410,7 +407,7 @@ def _identity_word_checks(
         if q.shift_argument(1).mul_x() != r:
             report.record(wtext, "x q(H;1+x) != r(D;x)")
         report.count(1)
-        if martin_polynomial(d) != q:
+        if _martin_from_circuit_partition(r) != q:
             report.record(wtext, "q(H) != m(D)")
         report.count(1)
         if circuit_coeffs_from_interlace(list(q.coeffs)) != list(r.coeffs):
@@ -463,6 +460,8 @@ def run_orbit_suite(max_symbols: int = 5) -> VerificationReport:
     interlace-graph sets, and interlace graphs sharing a digraph have
     identical digraph sets.
     """
+    if max_symbols > en.TABLE_MAX_ORDER:
+        raise TooLargeError(f"orbit laws stop at {en.TABLE_MAX_ORDER} symbols")
     t0 = time.monotonic()
     report = VerificationReport("orbits", max_symbols)
     for n in range(1, max_symbols + 1):

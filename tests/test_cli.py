@@ -160,6 +160,16 @@ def test_verify_rejects_negative_counts(suite, flag, capsys):
     assert err == f"error: {flag} must be at least 0, got -1\n"
 
 
+def test_verify_rejects_words_n_max_above_table_cap(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a suite ran before the flag was checked")
+
+    monkeypatch.setattr("interlacepoly.cli.run_identity_suite", must_not_run)
+    code, out, err = run_cli(capsys, "verify", "identities", "--words-n-max", "8")
+    assert code == 2 and out == ""
+    assert err == "error: --words-n-max must be at most 7, got 8\n"
+
+
 def test_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "poly", str(tmp_path / "missing.txt"))
     assert code == 2 and "error:" in err

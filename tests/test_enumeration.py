@@ -20,10 +20,14 @@ from interlacepoly.graphs import (
     component_count,
     component_masks,
     delete_vertex,
+    disjoint_union,
+    edgeless_graph,
     independence_number,
+    induced_subgraph,
     is_connected,
     label_swap,
     pivot_brute,
+    relabel,
 )
 from interlacepoly.interlace import interlace_polynomial
 
@@ -87,6 +91,12 @@ def test_table_order_cap():
         en.CoefficientTable(8)
     with pytest.raises(ValueError, match="at least 0"):
         en.CoefficientTable(-1)
+    table = en.CoefficientTable(3)
+    for order in (-1, 4):
+        with pytest.raises(ValueError, match=r"0\.\.3, got"):
+            table.table(order)
+        with pytest.raises(ValueError, match=r"0\.\.3, got"):
+            table.degrees(order)
 
 
 def test_table_order_6_bytes_are_pinned():
@@ -96,14 +106,32 @@ def test_table_order_6_bytes_are_pinned():
 
 def _check_mask_operations(n, masks):
     graphs = [en.graph_of_mask(n, int(m)) for m in masks]
+    rng = random.Random(n)
+    perm = rng.sample(range(n), n)
+    gone = set(rng.sample(range(n), min(n, 2)))
+    keep = [v for v in range(n) if v not in gone]
+    compact = [None if v in gone else keep.index(v) for v in range(n)]
+    cases = [
+        (perm, n, lambda g: relabel(g, perm)),
+        (compact, len(keep), lambda g: induced_subgraph(g, keep)),
+        (range(1, n + 1), n + 1, lambda g: disjoint_union(edgeless_graph(1), g)),
+    ]
+    for image, order, expected in cases:
+        relabeled = en.relabel_masks(masks, image, n)
+        assert relabeled.dtype == masks.dtype
+        for g, rm in zip(graphs, relabeled):
+            h = expected(g)
+            assert h.n == order and en.mask_of_graph(h) == rm
     for v in range(n):
         deleted = en.delete_vertex_masks(masks, v, n)
         neighbors = en.neighbor_sets(masks, v, n)
+        assert deleted.dtype == masks.dtype and neighbors.dtype == np.uint8
         for g, dm, nv in zip(graphs, deleted, neighbors):
             assert en.mask_of_graph(delete_vertex(g, v)[0]) == dm
             assert nv == sum(1 << u for u in g.neighbors(v))
     for a, b in permutations(range(n), 2):
         swapped = en.label_swap_masks(masks, a, b, n)
+        assert swapped.dtype == masks.dtype
         for g, sm in zip(graphs, swapped):
             assert en.mask_of_graph(label_swap(g, a, b)) == sm
         has_ab = (masks >> en.pair_index(a, b) & 1) == 1
@@ -120,6 +148,9 @@ def test_mask_operations_match_graph_operations():
     rng = random.Random(13)
     masks = [rng.randrange(1 << en.pair_count(7)) for _ in range(200)]
     _check_mask_operations(7, np.array(masks, dtype=np.int64))
+    _check_mask_operations(7, np.array(masks, dtype=np.uint32))
+    with pytest.raises(ValueError, match="does not fit in uint32"):
+        en.relabel_masks(np.array(masks, dtype=np.uint32), range(2, 9), 7)
 
 
 def test_structure_tables_match_per_graph_functions():

@@ -3,9 +3,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from interlacepoly import enumeration as en
-from interlacepoly.graphs import Graph, component_masks, induced_subgraph
+from interlacepoly.graphs import Graph, TooLargeError, component_masks, induced_subgraph
 from interlacepoly.polynomials import IntPolynomial
 from interlacepoly.suites import (
     VerificationReport,
@@ -31,6 +32,8 @@ def test_identity_suite_small_scale_passes():
 def test_orbit_suite_small_scale_passes():
     rep = run_orbit_suite(max_symbols=5)
     assert rep.passed and rep.checked == 97961
+    with pytest.raises(TooLargeError):
+        run_orbit_suite(max_symbols=en.TABLE_MAX_ORDER + 1)
 
 
 def test_extremal_suite_known_two_term_counterexamples():
