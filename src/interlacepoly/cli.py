@@ -100,23 +100,24 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"order {n} exceeds {en.TABLE_MAX_ORDER}, the largest order"
             " enumerate covers (2^C(n,2) graphs)"
         )
-    rows = en.CoefficientTable(n).table(n)
-    masks = np.arange(len(rows))
+    table = en.CoefficientTable(n)
+    words = table.words(n)
+    rows, index = table.distinct(n)
+    masks = np.arange(len(words))
     if args.connected:
         masks = masks[en.component_count_table(n) <= 1]
 
-    def poly_and_graph6(coeffs, mask):
-        q = IntPolynomial(tuple(map(int, coeffs)))
+    def poly_and_graph6(mask):
+        q = IntPolynomial(tuple(map(int, rows[index[mask]])))
         return q, to_graph6(en.graph_of_mask(n, int(mask)))
 
     if args.distinct:
-        # each row as one opaque value: np.unique(axis=0) sorts ~8x slower
-        row_bytes = rows.itemsize * rows.shape[1]
-        keys = rows[masks].view(np.dtype((np.void, row_bytes)))[:, 0]
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        _, first, counts = np.unique(
+            words[masks], return_index=True, return_counts=True
+        )
         for i in np.argsort(first):  # in order of each polynomial's first mask
             mask = masks[first[i]]
-            q, g6 = poly_and_graph6(rows[mask], mask)
+            q, g6 = poly_and_graph6(mask)
             count = int(counts[i])
             if args.json:
                 print(json.dumps({"count": count, "graph6": g6, **q.to_json_dict()}))
@@ -124,7 +125,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 print(f"{count}\t{g6}\t{q}")
     else:
         for mask in masks:
-            q, g6 = poly_and_graph6(rows[mask], mask)
+            q, g6 = poly_and_graph6(mask)
             if args.json:
                 print(json.dumps({"graph6": g6, **q.to_json_dict()}))
             else:

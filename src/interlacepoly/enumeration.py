@@ -9,7 +9,9 @@ one of them is computed by a bottom-up sweep of the pivot reduction
     q(G) = q(G - i) + q(G^{ij} - j)
 
 grouped by the lowest set bit of the mask (a canonical first edge), so
-each order is one vectorized pass over the previous order's table.  That
+each order is one vectorized pass over the previous order's table.  Each
+graph's polynomial is one packed word q(G;256), a uint64 with a byte per
+coefficient, and row-wise checks run once per distinct polynomial.  That
 is what makes exhaustive identity checking over all 2,097,152 graphs of
 order 7 a minutes-scale job instead of an hours-scale one.
 
@@ -35,6 +37,7 @@ import numpy as np
 from .graphs import Graph, TooLargeError
 
 TABLE_MAX_ORDER = 7
+WORD = np.dtype("<u8")  # a packed word: byte d is its degree-d coefficient
 
 
 def pair_count(n: int) -> int:
@@ -125,11 +128,16 @@ def _byte_tables(bit_map: tuple, dtype: np.dtype) -> np.ndarray:
     return tables
 
 
-def _map_bits(masks: np.ndarray, bit_map: tuple, dtype) -> np.ndarray:
-    """Apply a bit map to every mask: one gather and OR per source byte."""
-    out = np.zeros(masks.shape, dtype=dtype)
-    for c, table in enumerate(_byte_tables(bit_map, np.dtype(dtype))):
-        out |= np.take(table, (masks >> 8 * c).astype(np.uint8))
+def _gather_bytes(masks: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Apply compiled tables to every mask: the OR over c of
+    tables[c][byte c], read through a view of the masks' bytes."""
+    data = np.ascontiguousarray(masks, dtype=masks.dtype.newbyteorder("<"))
+    data = data.view(np.uint8).reshape(*masks.shape, masks.itemsize)
+    if not len(tables):
+        return np.zeros(masks.shape, dtype=tables.dtype)
+    out = np.take(tables[0], data[..., 0])  # an OR into np.zeros costs a pass
+    for c in range(1, len(tables)):
+        out |= np.take(tables[c], data[..., c])
     return out
 
 
@@ -138,7 +146,7 @@ def relabel_masks(masks: np.ndarray, image: Sequence, n: int) -> np.ndarray:
     deleted where image[x] is None: the mask-level twin of graphs.relabel."""
     ends = [(image[i], image[j]) for j in range(n) for i in range(j)]  # bit order
     bit_map = tuple(None if None in e else pair_index(*e) for e in ends)
-    return _map_bits(masks, bit_map, masks.dtype)
+    return _gather_bytes(masks, _byte_tables(bit_map, masks.dtype))
 
 
 def neighbor_sets(masks: np.ndarray, v: int, n: int) -> np.ndarray:
@@ -146,7 +154,7 @@ def neighbor_sets(masks: np.ndarray, v: int, n: int) -> np.ndarray:
     the bit map sending each pair {u, v} to bit u."""
     pairs = [(i, j) for j in range(n) for i in range(j)]  # bit order
     bit_map = tuple(i + j - v if v in (i, j) else None for i, j in pairs)
-    return _map_bits(masks, bit_map, np.uint8)
+    return _gather_bytes(masks, _byte_tables(bit_map, np.dtype(np.uint8)))
 
 
 def delete_vertex_masks(masks: np.ndarray, v: int, n: int) -> np.ndarray:
@@ -174,9 +182,17 @@ def label_swap_masks(masks: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
 
 
 class CoefficientTable:
-    """Interlace polynomial coefficients of all labeled graphs of orders
-    0..n_max; ``table(k)[mask, d]`` is the degree-d coefficient of q for
-    the order-k graph encoded by mask."""
+    """Interlace polynomials of all labeled graphs of orders 0..n_max.
+
+    ``words(k)[mask]`` is q(G;256) for the order-k graph encoded by mask:
+    a little-endian uint64 whose byte d is the degree-d coefficient.  This
+    is exact: q(G;2) = 2^k and c_d >= 0 bound c_d <= 2^(k-d) <= 128, so the
+    sum of two words, or the product for two orders summing to <= 7, never
+    carries.  The 2^21 order-7 graphs have only 112 distinct polynomials;
+    every row-wise function of q runs once per distinct polynomial
+    (``distinct(k)``) and is gathered back to the masks.  ``table(k)`` is
+    the int64 array of shape (2^C(k,2), k+1) of the same coefficients.
+    """
 
     def __init__(self, n_max: int):
         if n_max < 0:
@@ -186,15 +202,16 @@ class CoefficientTable:
                 f"coefficient tables stop at order {TABLE_MAX_ORDER}"
             )
         self.n_max = n_max
-        self._tables = [np.ones((1, 1), dtype=np.int64)]
+        self._words = [np.ones(1, dtype=WORD)]
+        self._distinct: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for k in range(1, n_max + 1):
-            self._tables.append(self._build_level(k))
+            self._words.append(self._build_level(k))
 
     def _build_level(self, k: int) -> np.ndarray:
         nb = pair_count(k)
-        prev = self._tables[k - 1]
-        table = np.zeros((1 << nb, k + 1), dtype=np.int64)
-        table[0, k] = 1  # the edgeless graph
+        prev = self._words[k - 1]
+        words = np.zeros(1 << nb, dtype=WORD)
+        words[0] = 1 << 8 * k  # the edgeless graph: x^k
         for b in range(nb):
             i, j = pair_of_bit(b)
             # all masks whose lowest set bit is b
@@ -203,34 +220,48 @@ class CoefficientTable:
             ) | (1 << b)
             del_i = delete_vertex_masks(masks, i, k)
             del_j = delete_vertex_masks(pivot_masks(masks, i, j, k), j, k)
-            table[masks, :k] = prev[del_i] + prev[del_j]
-        return table
+            words[masks] = prev[del_i] + prev[del_j]
+        return words
 
-    def table(self, n: int) -> np.ndarray:
+    def words(self, n: int) -> np.ndarray:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"order must be in 0..{self.n_max}, got {n}")
-        return self._tables[n]
+        return self._words[n]
 
-    def coeffs(self, g: Graph) -> tuple[int, ...]:
-        row = self.table(g.n)[mask_of_graph(g)]
-        return tuple(int(c) for c in row)
+    def distinct(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, index): the distinct order-n polynomials as int64
+        coefficient rows, in increasing word order, and for every mask
+        the row of its polynomial, so q(mask) = rows[index[mask]]."""
+        if n not in self._distinct:
+            words = self.words(n)
+            u = np.unique(words)
+            rows = u.view(np.uint8).reshape(-1, 8)[:, : n + 1].astype(np.int64)
+            self._distinct[n] = rows, np.searchsorted(u, words)
+        return self._distinct[n]
+
+    def table(self, n: int) -> np.ndarray:
+        rows, index = self.distinct(n)
+        return rows[index]
 
     def evaluate(self, n: int, x0: int) -> np.ndarray:
         """q(G; x0) for every order-n graph, as a vector over masks."""
+        rows, index = self.distinct(n)
         powers = np.array([x0**d for d in range(n + 1)], dtype=np.int64)
-        return self.table(n) @ powers
+        return (rows @ powers)[index]
 
     def degrees(self, n: int) -> np.ndarray:
-        nz = self.table(n) != 0
+        rows, index = self.distinct(n)
+        nz = rows != 0
         assert nz.any(axis=1).all(), "q is never the zero polynomial"
-        return n - np.argmax(nz[:, ::-1], axis=1)
+        return (n - np.argmax(nz[:, ::-1], axis=1))[index]
 
     def lowest_degrees(self, n: int) -> np.ndarray:
-        nz = self.table(n) != 0
-        return np.argmax(nz, axis=1)
+        rows, index = self.distinct(n)
+        return np.argmax(rows != 0, axis=1)[index]
 
     def nonzero_term_counts(self, n: int) -> np.ndarray:
-        return (self.table(n) != 0).sum(axis=1)
+        rows, index = self.distinct(n)
+        return (rows != 0).sum(axis=1)[index]
 
 
 # -- vectorized structure tables ---------------------------------------------
@@ -267,12 +298,16 @@ def independence_number_table(n: int) -> np.ndarray:
 
 def vertex_component_masks(masks: np.ndarray, n: int) -> np.ndarray:
     """``out[k, v]`` is the uint8 vertex mask of v's component in the graph
-    masks[k] of order n <= TABLE_MAX_ORDER: adjacency rows closed under
-    reachability by Warshall's algorithm, one in-place step per vertex."""
-    masks = masks.astype(np.uint32)  # C(7,2) = 21 bits
-    reach = np.empty((n, len(masks)), dtype=np.uint8)
-    for v in range(n):
-        reach[v] = neighbor_sets(masks, v, n) | 1 << v
+    masks[k] of order n <= TABLE_MAX_ORDER: the rows N(v) | {v}, bytes of
+    one word gathered per source byte (pair {i, j} sets bit i of byte j and
+    bit j of byte i), closed by Warshall's algorithm in n in-place steps."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]  # bit order
+    up, down = (
+        _byte_tables(tuple(8 * b + a for a, b in ends), WORD)
+        for ends in (pairs, [(j, i) for i, j in pairs])
+    )
+    words = _gather_bytes(masks, up | down) | sum(1 << 9 * v for v in range(n))
+    reach = np.ascontiguousarray(words.view(np.uint8).reshape(-1, 8)[:, :n].T)
     for u in range(n):
         reach |= -(reach >> u & 1) & reach[u]
     return reach.T

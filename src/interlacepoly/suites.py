@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
-from math import comb
 from operator import or_
 
 import numpy as np
@@ -167,8 +166,9 @@ def run_identity_suite(
 def _identity_graph_checks(
     report: VerificationReport, table: en.CoefficientTable, n: int
 ) -> None:
-    T = table.table(n)
-    masks = np.arange(len(T), dtype=np.int64)
+    W = table.words(n)
+    rows, index = table.distinct(n)
+    masks = np.arange(len(W), dtype=np.int64)
     comp = en.component_count_table(n)
 
     # q(2) = 2^n and q(-1) = +/- 2^k
@@ -180,8 +180,10 @@ def _identity_graph_checks(
     report.record_mask_failures(n, masks, pow2, "q(-1) not a signed power of two")
 
     # coefficients nonnegative; constant term zero iff order >= 1
-    report.record_mask_failures(n, masks, (T >= 0).all(axis=1), "negative coefficient")
-    const_ok = (T[:, 0] == 0) if n >= 1 else (T[:, 0] == 1)
+    report.record_mask_failures(
+        n, masks, (rows >= 0).all(axis=1)[index], "negative coefficient"
+    )
+    const_ok = rows[index, 0] == (0 if n >= 1 else 1)
     report.record_mask_failures(n, masks, const_ok, "constant term wrong")
 
     # lowest degree = component count; degree bounds
@@ -206,7 +208,7 @@ def _identity_graph_checks(
             )
 
     if n >= 2:
-        prev = table.table(n - 1)
+        prev = table.words(n - 1)
         for a in range(n):
             for b in range(n):
                 if a == b:
@@ -214,17 +216,18 @@ def _identity_graph_checks(
                 bit = en.pair_index(a, b)
                 sel = masks[(masks >> bit & 1) == 1]
                 piv = en.pivot_masks(sel, a, b, n)
-                # pivot reduction, every oriented edge
+                # pivot reduction, every oriented edge (words of order n-1
+                # have no degree-n byte, so the sum checks that one too)
                 left = prev[en.delete_vertex_masks(sel, a, n)]
                 right = prev[en.delete_vertex_masks(piv, b, n)]
-                ok = (T[sel, :n] == left + right).all(axis=1) & (T[sel, n] == 0)
                 report.record_mask_failures(
-                    n, sel, ok, f"q != q(G-{a}) + q(G^({a}{b})-{b})"
+                    n, sel, W[sel] == left + right,
+                    f"q != q(G-{a}) + q(G^({a}{b})-{b})",
                 )
                 if a < b:
                     # pivot invariance of q, involution, symmetry
                     report.record_mask_failures(
-                        n, sel, (T[piv] == T[sel]).all(axis=1), "q(G^ab) != q(G)"
+                        n, sel, W[piv] == W[sel], "q(G^ab) != q(G)"
                     )
                     report.record_mask_failures(
                         n, sel, en.pivot_masks(piv, a, b, n) == sel,
@@ -270,22 +273,19 @@ def _identity_graph_checks(
                         f"pivot pair ({a}{b})({a}{c}) != swapped ({a}{c})",
                     )
 
-    # multiplicativity over explicit disjoint splits (small side second)
+    # multiplicativity over explicit disjoint splits (small side second):
+    # one word product per graph, exact since q(G1) q(G2) at 2 is 2^n
     for n2 in range(1, n // 2 + 1):
         n1 = n - n2
-        big = table.table(n1)
+        big = table.words(n1)
         big_masks = np.arange(len(big), dtype=np.int64)
-        small_masks = np.arange(1 << en.pair_count(n2), dtype=np.int64)
+        small = table.words(n2)
+        small_masks = np.arange(len(small), dtype=np.int64)
         for mask2, shifted in enumerate(en.relabel_masks(small_masks, range(n1, n), n2)):
-            small = table.table(n2)[mask2]
-            expected = np.zeros((len(big), n + 1), dtype=np.int64)
-            for d2 in range(n2 + 1):
-                if small[d2]:
-                    expected[:, d2 : d2 + n1 + 1] += small[d2] * big
             union = big_masks | shifted
-            ok = (T[union] == expected).all(axis=1)
             report.record_mask_failures(
-                n, union, ok, f"q(G1 u G2) != q(G1) q(G2) [split {n1}+{n2}]"
+                n, union, W[union] == big * small[mask2],
+                f"q(G1 u G2) != q(G1) q(G2) [split {n1}+{n2}]",
             )
 
 
@@ -597,8 +597,8 @@ def run_extremal_suite(n_max: int = 7) -> VerificationReport:
 def _extremal_checks_for_order(
     report: VerificationReport, table: en.CoefficientTable, n: int, fib: np.ndarray
 ) -> None:
-    T = table.table(n)
-    masks = np.arange(len(T), dtype=np.int64)
+    rows, index = table.distinct(n)
+    masks = np.arange(len(index), dtype=np.int64)
     q1 = table.evaluate(n, 1)
     edges = en.edge_count_table(n)
     comp = en.component_count_table(n)
@@ -700,7 +700,7 @@ def _extremal_checks_for_order(
         want[2:n] = 1
         sel = terms == n - 1
         report.record_mask_failures(
-            n, masks[sel], (T[sel] == want).all(axis=1),
+            n, masks[sel], (rows == want).all(axis=1)[index[sel]],
             "(n-1)-term polynomial is not 2x + x^2 + ... + x^(n-1)",
         )
         stars = np.array(sorted(_star_masks(n)), dtype=np.int64)
@@ -837,15 +837,15 @@ def run_conjecture_suite(
     report = VerificationReport("conjectures", n_max, seed=seed)
     table = en.CoefficientTable(n_max)
     for n in range(n_max + 1):
-        T = table.table(n)
-        ok_q = _unimodal_rows(T)
+        # one verdict per distinct polynomial, gathered back to the masks
+        rows, index = table.distinct(n)
+        ok = np.array([_unimodal_pair(IntPolynomial(r)) for r in rows.tolist()])
+        masks = np.arange(len(index), dtype=np.int64)
         report.record_mask_failures(
-            n, np.arange(len(T), dtype=np.int64), ok_q, "q coefficients not unimodal"
+            n, masks, ok[index, 0], "q coefficients not unimodal"
         )
-        ok_r = _unimodal_rows(_circuit_transform_rows(T))
         report.record_mask_failures(
-            n, np.arange(len(T), dtype=np.int64), ok_r,
-            "x q(1+x) coefficients not unimodal",
+            n, masks, ok[index, 1], "x q(1+x) coefficients not unimodal"
         )
 
     rng = random.Random(seed)
@@ -853,12 +853,11 @@ def run_conjecture_suite(
         n = rng.randint(n_max + 1, random_max_order)
         edges = [e for e in combinations(range(n), 2) if rng.getrandbits(1)]
         g = Graph(n, edges)
-        q = interlace_polynomial(g, {})
-        r = IntPolynomial(circuit_coeffs_from_interlace(list(q.coeffs)))
+        ok_q, ok_r = _unimodal_pair(interlace_polynomial(g, {}))
         report.count(2)
-        if not unimodality_report(q).is_unimodal:
+        if not ok_q:
             report.record(to_graph6(g), "q coefficients not unimodal")
-        if not unimodality_report(r).is_unimodal:
+        if not ok_r:
             report.record(to_graph6(g), "x q(1+x) coefficients not unimodal")
 
     # the known witness: q of the 3-leaf star is unimodal but not log-concave
@@ -871,33 +870,11 @@ def run_conjecture_suite(
     return _finish(report, t0)
 
 
-def _unimodal_rows(T: np.ndarray) -> np.ndarray:
-    """Rows whose support is a contiguous unimodal block (internal zeros
-    count as failures)."""
-    rows, cols = T.shape
-    nz = T != 0
-    any_nz = nz.any(axis=1)
-    lo = np.argmax(nz, axis=1)
-    hi = cols - 1 - np.argmax(nz[:, ::-1], axis=1)
-    idx = np.arange(cols)
-    internal_zero = ((T == 0) & (idx >= lo[:, None]) & (idx <= hi[:, None])).any(axis=1)
-    descending = np.zeros(rows, dtype=bool)
-    broke = np.zeros(rows, dtype=bool)
-    for k in range(1, cols):
-        inside = (k - 1 >= lo) & (k <= hi)
-        broke |= descending & (T[:, k] > T[:, k - 1]) & inside
-        descending |= (T[:, k] < T[:, k - 1]) & inside
-    return (~(internal_zero | broke)) | ~any_nz
-
-
-def _circuit_transform_rows(T: np.ndarray) -> np.ndarray:
-    """Coefficients of x p(1+x) for every row p of T."""
-    rows, cols = T.shape
-    B = np.zeros((cols, cols + 1), dtype=np.int64)
-    for l in range(cols):
-        for k in range(1, l + 2):
-            B[l, k] = comb(l, k - 1)
-    return T @ B
+def _unimodal_pair(q: IntPolynomial) -> tuple[bool, bool]:
+    """Whether q and x q(1+x) are unimodal (internal zeros count as
+    failures)."""
+    r = IntPolynomial(circuit_coeffs_from_interlace(list(q.coeffs)))
+    return unimodality_report(q).is_unimodal, unimodality_report(r).is_unimodal
 
 
 # ===========================================================================

@@ -1,5 +1,6 @@
 """CLI integration tests: commands, formats, JSON mode, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -101,6 +102,19 @@ def test_enumerate_distinct_connected(capsys):
     assert {q: int(count) for count, _, q in lines} == census
     assert len(lines) == len(census)
     assert sum(int(count) for count, _, _ in lines) == 38
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        (("--json",), "d52d4cbb435b42b821398f726868d6a226697b32aa6322324bd0001c78c498b7"),
+        (("--connected",), "543972e80c5ec26bdd2d7e09f8cf9ef88df5c6ec3f325cd6c1dc9d8629cf18d2"),
+    ],
+)
+def test_enumerate_distinct_output_is_pinned(capsys, flags, digest):
+    code, out, _ = run_cli(capsys, "enumerate", "5", "--distinct", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_negative_order(capsys):

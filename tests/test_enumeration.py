@@ -64,26 +64,55 @@ def test_table_matches_recursion_exhaustively():
     table = en.CoefficientTable(4)
     cache: dict = {}
     for n in range(5):
+        rows = table.table(n)
         for mask in range(1 << en.pair_count(n)):
             g = en.graph_of_mask(n, mask)
             expected = interlace_polynomial(g, cache).coeffs
-            row = tuple(int(c) for c in table.table(n)[mask])
+            row = tuple(int(c) for c in rows[mask])
             assert row[: len(expected)] == expected
             assert all(c == 0 for c in row[len(expected) :])
 
 
-def test_table_matches_recursion_sampled_orders_5_to_7():
-    table = en.CoefficientTable(7)
+@pytest.fixture(scope="module")
+def table7():
+    return en.CoefficientTable(7)
+
+
+def test_table_matches_recursion_sampled_orders_5_to_7(table7):
     cache: dict = {}
     rng = random.Random(11)
     for n in (5, 6, 7):
+        rows = table7.table(n)
         for _ in range(120):
             mask = rng.randrange(1 << en.pair_count(n))
             g = en.graph_of_mask(n, mask)
             expected = interlace_polynomial(g, cache).coeffs
-            row = tuple(int(c) for c in table.table(n)[mask])
+            row = tuple(int(c) for c in rows[mask])
             assert row[: len(expected)] == expected
             assert all(c == 0 for c in row[len(expected) :])
+    digest = hashlib.sha256(table7.table(7).tobytes()).hexdigest()
+    assert digest == "e3a2d232aabd240e2d23daf1cf7bd4d01dc0ded52b23145ffe8830542bf56d69"
+
+
+def test_packed_words_hold_the_coefficient_rows(table7):
+    """Byte d of the q(G;256) word is the degree-d coefficient, every
+    coefficient stays within the no-carry bound 2^(k-d), and the distinct
+    rows gathered through the index give the table."""
+    for k in range(8):
+        words = table7.words(k)
+        rows, index = table7.distinct(k)
+        T = table7.table(k)
+        assert words.dtype == np.dtype("<u8") and T.dtype == np.int64
+        assert T.shape == (1 << en.pair_count(k), k + 1)
+        packed = words.view(np.uint8).reshape(-1, 8)
+        for d in range(8):
+            if d <= k:
+                assert (packed[:, d] == T[:, d]).all()
+                assert (packed[:, d] <= 2 ** (k - d)).all()
+            else:
+                assert not packed[:, d].any()
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        assert (rows[index] == T).all()
 
 
 def test_table_order_cap():
