@@ -286,13 +286,19 @@ def isolated_count_table(n: int) -> np.ndarray:
 
 
 def independence_number_table(n: int) -> np.ndarray:
-    """alpha(G) for every order-n graph: a subset is independent iff the
-    mask avoids every pair bit inside it."""
-    masks = np.arange(1 << pair_count(n), dtype=np.int64)
-    alpha = np.zeros(len(masks), dtype=np.int8)
-    for subset, within in enumerate(induced_pair_masks(n)):
-        size = np.int8(subset.bit_count())
-        np.maximum(alpha, size * ((masks & within) == 0), out=alpha)
+    """alpha(G) for every order-n graph, order by order on the last vertex
+    v: max(alpha(G - v), 1 + alpha(G - N[v])).  A mask's low bits are G - v
+    and its high bits N(v); G - N[v] is read as G - v with N(v) joined to
+    every vertex, which keeps alpha of the rest, or as 0 if N[v] is all."""
+    alpha = np.zeros(1, dtype=np.int8)
+    for k in range(1, n + 1):
+        low_bits, full = pair_count(k - 1), (1 << k - 1) - 1
+        masks = np.arange(1 << pair_count(k), dtype=np.int64)
+        low = masks & (1 << low_bits) - 1
+        rest = full ^ masks >> low_bits
+        K = induced_pair_masks(k - 1)
+        joined = alpha[low | K[full] ^ K[rest]]
+        alpha = np.maximum(alpha[low], 1 + np.where(rest != 0, joined, 0))
     return alpha
 
 

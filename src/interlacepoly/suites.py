@@ -109,8 +109,7 @@ class VerificationReport:
             return
         bad = np.flatnonzero(~ok)
         for idx in bad[:MAX_VIOLATIONS_PER_CHECK]:
-            mask = int(masks[idx]) if masks.ndim else int(idx)
-            self.record(to_graph6(en.graph_of_mask(n, mask)), detail)
+            self.record(to_graph6(en.graph_of_mask(n, int(masks[idx]))), detail)
         if len(bad) > MAX_VIOLATIONS_PER_CHECK:
             self.record("...", f"{len(bad) - MAX_VIOLATIONS_PER_CHECK} more: {detail}")
 
@@ -168,7 +167,7 @@ def _identity_graph_checks(
 ) -> None:
     W = table.words(n)
     rows, index = table.distinct(n)
-    masks = np.arange(len(W), dtype=np.int64)
+    masks = np.arange(len(W), dtype=np.uint32)
     comp = en.component_count_table(n)
 
     # q(2) = 2^n and q(-1) = +/- 2^k
@@ -210,12 +209,10 @@ def _identity_graph_checks(
     if n >= 2:
         prev = table.words(n - 1)
         for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                bit = en.pair_index(a, b)
-                sel = masks[(masks >> bit & 1) == 1]
-                piv = en.pivot_masks(sel, a, b, n)
+            P = {b: _pivot_table(n, a, b) for b in range(n) if b != a}
+            for b, Pb in P.items():
+                sel = masks[(masks >> en.pair_index(a, b) & 1) == 1]
+                piv = Pb[sel]
                 # pivot reduction, every oriented edge (words of order n-1
                 # have no degree-n byte, so the sum checks that one too)
                 left = prev[en.delete_vertex_masks(sel, a, n)]
@@ -230,8 +227,7 @@ def _identity_graph_checks(
                         n, sel, W[piv] == W[sel], "q(G^ab) != q(G)"
                     )
                     report.record_mask_failures(
-                        n, sel, en.pivot_masks(piv, a, b, n) == sel,
-                        "pivot is not an involution",
+                        n, sel, Pb[piv] == sel, "pivot is not an involution"
                     )
                     report.record_mask_failures(
                         n, sel, en.pivot_masks(sel, b, a, n) == piv,
@@ -247,31 +243,22 @@ def _identity_graph_checks(
                         n, sel, ((sel ^ piv) & frozen) == 0,
                         "pivot changed the neighborhood of a or b",
                     )
-
-    # triple-pivot identities on all ordered triples with ab, ac edges
-    if n >= 3:
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if len({a, b, c}) < 3:
+                # triple-pivot identities with ab, ac edges, as gathers: a
+                # pivot about ab or ac keeps N(a), so ab and ac stay edges
+                for c, Pc in P.items():
+                    if c == b:
                         continue
-                    need = (1 << en.pair_index(a, b)) | (1 << en.pair_index(a, c))
-                    sel = masks[(masks & need) == need]
-                    after_two = en.pivot_masks(
-                        en.pivot_masks(sel, a, b, n), a, c, n
-                    )
-                    lhs = en.pivot_masks(after_two, a, b, n)
+                    sel_c = sel[(sel >> en.pair_index(a, c) & 1) == 1]
+                    after_two = Pc[Pb[sel_c]]
                     report.record_mask_failures(
-                        n, sel, lhs == en.label_swap_masks(sel, b, c, n),
+                        n, sel_c, Pb[after_two] == en.label_swap_masks(sel_c, b, c, n),
                         f"pivot triple ({a}{b})({a}{c})({a}{b}) != swap {b}{c}",
                     )
-                    rhs = en.label_swap_masks(
-                        en.pivot_masks(sel, a, c, n), b, c, n
-                    )
                     report.record_mask_failures(
-                        n, sel, after_two == rhs,
+                        n, sel_c, after_two == en.label_swap_masks(Pc[sel_c], b, c, n),
                         f"pivot pair ({a}{b})({a}{c}) != swapped ({a}{c})",
                     )
+            del P  # free this vertex's tables before the next one's are built
 
     # multiplicativity over explicit disjoint splits (small side second):
     # one word product per graph, exact since q(G1) q(G2) at 2 is 2^n
@@ -287,6 +274,16 @@ def _identity_graph_checks(
                 n, union, W[union] == big * small[mask2],
                 f"q(G1 u G2) != q(G1) q(G2) [split {n1}+{n2}]",
             )
+
+
+def _pivot_table(n: int, a: int, b: int) -> np.ndarray:
+    """G^{ab} for every order-n mask holding the edge ab, and 0 at every
+    other mask: one uint32 array over all 2^C(n,2) masks."""
+    masks = np.arange(1 << en.pair_count(n), dtype=np.uint32)
+    sel = masks[(masks >> en.pair_index(a, b) & 1) == 1]
+    table = np.zeros_like(masks)
+    table[sel] = en.pivot_masks(sel, a, b, n)
+    return table
 
 
 def _identity_tree_checks(report: VerificationReport, max_order: int = 9) -> None:
@@ -464,29 +461,21 @@ def run_orbit_suite(max_symbols: int = 5) -> VerificationReport:
         raise TooLargeError(f"orbit laws stop at {en.TABLE_MAX_ORDER} symbols")
     t0 = time.monotonic()
     report = VerificationReport("orbits", max_symbols)
+    table = en.CoefficientTable(max_symbols)
     for n in range(1, max_symbols + 1):
-        _orbit_checks_for_order(report, n)
+        _orbit_checks_for_order(report, table, n)
     return _finish(report, t0)
 
 
-def _swap_pivot_tables(n: int) -> dict[tuple[int, int], np.ndarray]:
-    """For each vertex pair, the map H -> (H^{ab})_{ab} on edge masks.
-
-    Rows are only meaningful for masks containing the ab edge.
-    """
-    masks = np.arange(1 << en.pair_count(n), dtype=np.int64)
-    out = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            out[(a, b)] = en.label_swap_masks(
-                en.pivot_masks(masks, a, b, n), a, b, n
-            )
-    return out
-
-
-def _orbit_checks_for_order(report: VerificationReport, n: int) -> None:
-    swap_pivot = _swap_pivot_tables(n)
-    q1_of_mask = en.CoefficientTable(n).evaluate(n, 1)
+def _orbit_checks_for_order(
+    report: VerificationReport, table: en.CoefficientTable, n: int
+) -> None:
+    # per vertex pair ab, the map H -> (H^{ab})_{ab} on edge masks, 0 without ab
+    swap_pivot = {
+        (a, b): en.label_swap_masks(_pivot_table(n, a, b), a, b, n)
+        for a, b in combinations(range(n), 2)
+    }
+    q1_of_mask = table.evaluate(n, 1)
 
     # pass 1: group canonical words by digraph; compute interlace masks
     groups: dict[bytes, list[tuple[int, ...]]] = {}
@@ -849,11 +838,12 @@ def run_conjecture_suite(
         )
 
     rng = random.Random(seed)
+    cache: dict = {}  # shared: small subproblems recur across the samples
     for _ in range(random_samples):
         n = rng.randint(n_max + 1, random_max_order)
         edges = [e for e in combinations(range(n), 2) if rng.getrandbits(1)]
         g = Graph(n, edges)
-        ok_q, ok_r = _unimodal_pair(interlace_polynomial(g, {}))
+        ok_q, ok_r = _unimodal_pair(interlace_polynomial(g, cache))
         report.count(2)
         if not ok_q:
             report.record(to_graph6(g), "q coefficients not unimodal")

@@ -162,10 +162,10 @@ def test_criterion_03_identity_suite_full(identity_full):
 @pytest.mark.slow
 def test_criterion_04_pivot_triple_identities(identity_full):
     # the triple-pivot identities are part of the identity suite at
-    # orders <= 6; zero violations there covers this criterion
+    # orders <= 7; zero violations there covers this criterion
     bad = [v for v in identity_full.violations if "pivot triple" in v["detail"]
            or "pivot pair" in v["detail"]]
-    report_line(4, not bad, "(triple-pivot identities, all graphs of order <= 6)")
+    report_line(4, not bad, "(triple-pivot identities, all graphs of order <= 7)")
 
 
 def _seeded_words(count=500, seed=20, lo=3, hi=8):

@@ -196,6 +196,14 @@ def test_structure_tables_match_per_graph_functions():
             assert comp[mask] == component_count(g)
             assert edges[mask] == g.edge_count
             assert iso[mask] == sum(1 for v in range(n) if g.degree(v) == 0)
+    # alpha on every mask of order <= 5 (K_n among them) and sampled at 7
+    cases = [(n, range(1 << en.pair_count(n))) for n in range(6)]
+    cases.append((7, [rng.randrange(1 << 21) for _ in range(2000)]))
+    for n, masks in cases:
+        alpha = en.independence_number_table(n)
+        assert alpha.shape == (1 << en.pair_count(n),)
+        for mask in masks:
+            assert alpha[mask] == independence_number(en.graph_of_mask(n, mask)), (n, mask)
 
 
 def test_component_tables_match_graph_components():

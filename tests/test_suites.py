@@ -1,5 +1,6 @@
 """Tests for the verification suites and their reports."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -27,6 +28,17 @@ def test_identity_suite_small_scale_passes():
     rep = run_identity_suite(n_max=4, word_samples=40, seed=7)
     assert rep.passed and rep.checked == 10349
     assert rep.suite == "identities" and rep.n_max == 4
+
+
+def test_identity_suite_order_6_report_is_pinned():
+    rep = run_identity_suite(n_max=6, word_samples=0)
+    assert rep.passed and rep.checked == 4202406
+    d = rep.to_json_dict()
+    d.pop("elapsed_ms")
+    text = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a9ad5996121e1aab58fd80b499590fd59c681e2bca4bdebf9c649706e53c7e57"
+    )
 
 
 def test_orbit_suite_small_scale_passes():
