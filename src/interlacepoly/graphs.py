@@ -101,7 +101,7 @@ class Graph:
         return bool(self.rows[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return bin(self.rows[v]).count("1")
+        return self.rows[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(u for u in range(self.n) if self.rows[v] >> u & 1)
@@ -116,7 +116,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(bin(r).count("1") for r in self.rows) // 2
+        return sum(r.bit_count() for r in self.rows) // 2
 
     def __eq__(self, other) -> bool:
         return (
@@ -390,12 +390,12 @@ def independence_number(g: Graph) -> int:
         m = avail
         while m:
             u = (m & -m).bit_length() - 1
-            d = bin(rows[u] & avail).count("1")
+            d = (rows[u] & avail).bit_count()
             if d > dv:
                 v, dv = u, d
             m &= m - 1
         if dv == 0:
-            return bin(avail).count("1")  # remaining vertices are independent
+            return avail.bit_count()  # remaining vertices are independent
         with_v = 1 + best(avail & ~rows[v] & ~(1 << v))
         without_v = best(avail & ~(1 << v))
         return max(with_v, without_v)

@@ -17,15 +17,23 @@ The recursion here is exponential but heavily pruned:
   independently and their polynomials multiplied;
 * results are memoized on the exact labeled adjacency encoding, which is
   shared aggressively because pivot/delete branches revisit the same
-  labeled subgraphs.
+  labeled subgraphs;
+* in a graph of order >= LEAF_TABLE_MIN_ORDER (T = 16, the least order at
+  which a call that builds the table is no slower), each subproblem of
+  order <= 6 is one lookup, ahead of the split and the memo, in a table
+  keyed by pair mask and built once per process from CoefficientTable(6).
 
 The pivot edge is chosen deterministically: first endpoint of minimum
 degree (ties by index), second its lowest-indexed neighbor.  Deleting a
 low-degree vertex tends to disconnect and shrink subproblems.
 
-A memo cache is a plain dict mapping adjacency-row tuples to coefficient
-tuples.  Pass one in to share work across calls; each worker should own
-its cache (idempotent inserts make sharing safe, but there is no need).
+The engine's values are packed ints q(G; 2^64), 64-bit lane d holding the
+degree-d coefficient: a sum is +, a disjoint union *, a factor x << 64.
+No lane carries: q(G;2) = sum c_d 2^d = 2^n with c_d >= 0 and c_0 = 0
+gives c_d <= 2^(n-1) < 2^64 for n <= 64, and every lane of a sum or
+product is a coefficient of q of a real graph.  A memo cache is a plain
+dict from adjacency-row tuples to these opaque values; leaves never reach
+it.  Pass one in to share work across calls; each worker should own its.
 
 Paths are indexed by edge count: path_polynomial(n) is the path with n
 edges and n + 1 vertices.
@@ -33,6 +41,7 @@ edges and n + 1 vertices.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import MutableMapping, Sequence
 
 from .graphs import (
@@ -47,59 +56,70 @@ from .graphs import (
 )
 from .polynomials import IntPolynomial
 
-MemoCache = MutableMapping[tuple[int, ...], tuple[int, ...]]
+MemoCache = MutableMapping[tuple[int, ...], int]
+
+LANE = 64  # bits per coefficient of a packed value q(G; 2^64)
+LEAF_ORDER = 6
+LEAF_TABLE_MIN_ORDER = 16
 
 
-# -- coefficient-tuple helpers (hot path works on bare tuples) ------------
+@lru_cache(maxsize=None)
+def _leaf_table() -> tuple[list[int], ...]:
+    """``leaves[k][mask]``: packed q of every graph of order k <= LEAF_ORDER,
+    converted from the q(G;256) words once per distinct word."""
+    from .enumeration import CoefficientTable  # no numpy import with the engine
+    table = CoefficientTable(LEAF_ORDER)
+    leaves = []
+    for k in range(LEAF_ORDER + 1):
+        words = table.words(k).tolist()
+        packed = {w: sum((w >> 8 * d & 255) << LANE * d for d in range(k + 1))
+                  for w in set(words)}
+        leaves.append([packed[w] for w in words])
+    return tuple(leaves)
 
 
-def _add(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    if len(p) < len(q):
-        p, q = q, p
-    return tuple(a + b for a, b in zip(p, q)) + p[len(q) :]
+def _unpack(value: int, n: int) -> IntPolynomial:
+    """The polynomial of a packed value of an order-n graph."""
+    return IntPolynomial(value >> LANE * d & (1 << LANE) - 1 for d in range(n + 1))
 
 
-def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return tuple(out)
-
-
-def _q_connected(rows: tuple[int, ...], memo: MemoCache) -> tuple[int, ...]:
-    """q of a connected graph with at least one edge, given as rows."""
+def _q_connected(rows: tuple[int, ...], memo: MemoCache, leaves: Sequence) -> int:
+    """Packed q of a connected graph with at least one edge, given as rows."""
     got = memo.get(rows)
     if got is not None:
         return got
     # pivot edge: a of minimum degree, b its lowest neighbor
     a, da = 0, 65
     for v, r in enumerate(rows):
-        d = bin(r).count("1")
+        d = r.bit_count()
         if d < da:
             a, da = v, d
     b = (rows[a] & -rows[a]).bit_length() - 1
-    left = _q_rows(_delete_rows(rows, a), memo)
-    right = _q_rows(_delete_rows(_pivot_rows(rows, a, b), b), memo)
-    res = _add(left, right)
-    memo[rows] = res
+    left = _q_rows(_delete_rows(rows, a), memo, leaves)
+    right = _q_rows(_delete_rows(_pivot_rows(rows, a, b), b), memo, leaves)
+    res = memo[rows] = left + right
     return res
 
 
-def _q_rows(rows: tuple[int, ...], memo: MemoCache) -> tuple[int, ...]:
-    """q as the product over the components; an isolated vertex gives x."""
-    full = (1 << len(rows)) - 1
-    isolated = 0
-    res = (1,)
+def _q_rows(rows: tuple[int, ...], memo: MemoCache, leaves: Sequence = ()) -> int:
+    """Packed q: a leaf lookup below order len(leaves), else the product
+    over the components, where an isolated vertex gives x."""
+    k = len(rows)
+    if k < len(leaves):
+        mask = j = 0  # row j's bits below j go to pair_index(i, j) = C(j,2) + i
+        for r in rows:
+            mask |= (r & (1 << j) - 1) << (j * (j - 1) >> 1)
+            j += 1
+        return leaves[k][mask]
+    full, isolated, res = (1 << k) - 1, 0, 1
     for comp in _row_components(rows):
         if not comp & (comp - 1):
             isolated += 1
         elif comp == full:
-            return _q_connected(rows, memo)
+            return _q_connected(rows, memo, leaves)
         else:
-            res = _mul(res, _q_connected(_induced_rows(rows, comp), memo))
-    return (0,) * isolated + res
+            res *= _q_connected(_induced_rows(rows, comp), memo, leaves)
+    return res << LANE * isolated
 
 
 def interlace_polynomial(g: Graph, cache: MemoCache | None = None) -> IntPolynomial:
@@ -111,7 +131,8 @@ def interlace_polynomial(g: Graph, cache: MemoCache | None = None) -> IntPolynom
     """
     if cache is None:
         cache = {}
-    return IntPolynomial(_q_rows(g.rows, cache))
+    leaves = _leaf_table() if g.n >= LEAF_TABLE_MIN_ORDER else ()
+    return _unpack(_q_rows(g.rows, cache, leaves), g.n)
 
 
 # -- closed forms ----------------------------------------------------------
@@ -160,12 +181,12 @@ def path_polynomial(n: int) -> IntPolynomial:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    prev, cur = (0, 1), (0, 2)  # q(P_0), q(P_1)
+    prev, cur = IntPolynomial.x(), IntPolynomial((0, 2))  # q(P_0), q(P_1)
     if n == 0:
-        return IntPolynomial(prev)
+        return prev
     for _ in range(n - 1):
-        prev, cur = cur, _add(cur, (0,) + prev)
-    return IntPolynomial(cur)
+        prev, cur = cur, cur + prev.mul_x()
+    return cur
 
 
 def cycle_polynomial(n: int) -> IntPolynomial:
@@ -181,11 +202,11 @@ def cycle_polynomial(n: int) -> IntPolynomial:
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    prev, cur = (2,), (1,)  # p_0, p_1
+    prev, cur = IntPolynomial((2,)), IntPolynomial.one()  # p_0, p_1
     for _ in range(n - 1):
-        prev, cur = cur, _add(cur, (0,) + prev)
+        prev, cur = cur, cur + prev.mul_x()
     corr = (-1, -2, 1) if n % 2 == 0 else (-1, 1)
-    return IntPolynomial(_add(cur, corr))
+    return cur + IntPolynomial(corr)
 
 
 def complete_multipartite_polynomial(parts: Sequence[int]) -> IntPolynomial:
@@ -298,7 +319,7 @@ def vertex_multiplication_polynomial(
     total = IntPolynomial.zero()
     for subset in range(1 << n):
         sub_rows = _induced_rows(g.rows, subset)
-        term = IntPolynomial(_q_rows(sub_rows, cache))
+        term = _unpack(_q_rows(sub_rows, cache), len(sub_rows))
         for i in range(n):
             k = multiplicities[i]
             if subset >> i & 1:
@@ -308,8 +329,7 @@ def vertex_multiplication_polynomial(
             term = term * factor
             if term.is_zero():
                 break
-        popcnt = bin(subset).count("1")
-        if (n + popcnt) % 2:
+        if (n + subset.bit_count()) % 2:
             term = -term
         total = total + term
     return total

@@ -632,7 +632,7 @@ def _extremal_checks_for_order(
         eq_ord = {int(m) for m in masks[no_iso & (q1 == n)]}
         expected_ord = _star_masks(n)
         if n == 4:
-            expected_ord |= {m for m in _matching_masks(4) if bin(m).count("1") == 2}
+            expected_ord |= {m for m in _matching_masks(4) if m.bit_count() == 2}
         report.count(1)
         if eq_ord != expected_ord:
             report.record(f"order {n}", "q(1)=n class != stars (+2K_2 at n=4)")

@@ -1,10 +1,18 @@
 """Tests for the interlace polynomial: recursion, closed forms, calculus."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+from interlacepoly import enumeration as en
 
 from interlacepoly.graphs import (
     Graph,
@@ -24,6 +32,9 @@ from interlacepoly.graphs import (
     star_graph,
 )
 from interlacepoly.interlace import (
+    LEAF_ORDER,
+    LEAF_TABLE_MIN_ORDER,
+    _q_rows,
     clique_substitution_polynomial,
     complete_bipartite_polynomial,
     complete_multipartite_polynomial,
@@ -216,6 +227,120 @@ def test_memo_cache_consistency():
     for _ in range(40):
         g = random_graph(rng, rng.randrange(9))
         assert interlace_polynomial(g, shared) == interlace_polynomial(g, {})
+
+
+def q_by_nullity(g):
+    """q(G;x) = sum over S of (x-1)^nullity(A[S]) over GF(2) (Aigner and van
+    der Holst 2004): no pivot.  One XOR-basis elimination for all subsets
+    at once, then the change of basis from (x-1)^k to x^d."""
+    n = g.n
+    subsets = np.arange(1 << n, dtype=np.int32)
+    basis = np.zeros((n, 1 << n), dtype=np.int32)  # basis[b]: leading bit b
+    rank = np.zeros(1 << n, dtype=np.int32)
+    for u in range(n):
+        r = np.where(subsets >> u & 1, g.rows[u] & subsets, 0)
+        for b in reversed(range(n)):
+            hit = (r >> b & 1).astype(bool)
+            new = hit & (basis[b] == 0)
+            basis[b][new] = r[new]
+            rank += new
+            r ^= np.where(hit, basis[b], 0)  # an inserted row clears itself
+    nullity = np.bitwise_count(subsets) - rank
+    hist = np.bincount(nullity, minlength=n + 1).tolist()
+    return IntPolynomial(
+        sum(h * comb(k, d) * (-1) ** (k + d) for k, h in enumerate(hist))
+        for d in range(n + 1)
+    )
+
+
+def test_nullity_oracle_matches_closed_forms():
+    assert q_by_nullity(path_graph(5)) == path_polynomial(5)
+    assert q_by_nullity(cycle_graph(7)) == cycle_polynomial(7)
+    assert q_by_nullity(complete_graph(5)) == complete_polynomial(5)
+    assert q_by_nullity(edgeless_graph(4)) == edgeless_polynomial(4)
+
+
+def test_leaf_path_matches_nullity_oracle():
+    """Graphs of order >= LEAF_TABLE_MIN_ORDER read their small subproblems
+    from the leaf table; check them against a pivot-free oracle."""
+    rng = random.Random(53)
+    t = LEAF_TABLE_MIN_ORDER
+    graphs = [random_graph(rng, n) for n in (t, t, t + 1)]
+    for order in (t, t, t + 1):
+        # components of order <= LEAF_ORDER, one of them an isolated
+        # vertex, with their labels shuffled together
+        g = Graph(1)
+        while g.n < order:
+            k = min(rng.randint(1, LEAF_ORDER), order - g.n)
+            g = disjoint_union(g, random_graph(rng, k))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(relabel(g, perm))
+    for g in graphs:
+        assert interlace_polynomial(g) == q_by_nullity(g)
+
+
+def test_leaf_key_is_the_enumeration_mask():
+    # with the identity as leaf table, the lookup returns its own key
+    probe = tuple(range(1 << en.pair_count(k)) for k in range(LEAF_ORDER + 1))
+    for k in range(LEAF_ORDER + 1):
+        for g in en.all_graphs(k):
+            assert _q_rows(g.rows, {}, probe) == en.mask_of_graph(g)
+
+
+def test_order_64_closed_forms():
+    # coefficients up to 2^63 and 65 lanes: a narrower lane or a wrong
+    # shift would show here
+    assert q(complete_graph(64)) == complete_polynomial(64)
+    assert q(star_graph(63)) == star_polynomial(63)
+    assert q(edgeless_graph(64)) == edgeless_polynomial(64)
+
+
+def test_memo_shared_below_and_above_leaf_order():
+    rng = random.Random(59)
+    shared: dict = {}
+    orders = [8, LEAF_TABLE_MIN_ORDER, 11, LEAF_TABLE_MIN_ORDER + 1, 13, 7]
+    for n in orders:
+        g = random_graph(rng, n)
+        assert interlace_polynomial(g, shared) == interlace_polynomial(g, {})
+
+
+def test_small_graphs_build_no_leaf_table():
+    """In a fresh interpreter, graphs below LEAF_TABLE_MIN_ORDER (the
+    circuits workload's 10-symbol words among them) never build the table."""
+    script = textwrap.dedent(
+        """
+        import random
+        from interlacepoly import DoubleOccurrenceWord, interlace_graph
+        from interlacepoly.graphs import Graph
+        from interlacepoly.interlace import (
+            LEAF_TABLE_MIN_ORDER, _leaf_table, interlace_polynomial)
+
+        rng = random.Random(3)
+        word = [s for s in range(10) for _ in (0, 1)]
+        rng.shuffle(word)
+        graphs = [interlace_graph(DoubleOccurrenceWord(word))]
+        for n in range(1, LEAF_TABLE_MIN_ORDER):
+            pairs = [(i, j) for j in range(n) for i in range(j)]
+            graphs.append(Graph(n, [e for e in pairs if rng.random() < 0.5]))
+        for g in graphs:
+            interlace_polynomial(g)
+        print(_leaf_table.cache_info().currsize, end=" ")
+        interlace_polynomial(Graph(LEAF_TABLE_MIN_ORDER))
+        print(_leaf_table.cache_info().currsize)
+        """
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
 
 
 def test_substitute():
