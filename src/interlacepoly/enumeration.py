@@ -13,7 +13,9 @@ each order is one vectorized pass over the previous order's table.  Each
 graph's polynomial is one packed word q(G;256), a uint64 with a byte per
 coefficient, and row-wise checks run once per distinct polynomial.  That
 is what makes exhaustive identity checking over all 2,097,152 graphs of
-order 7 a minutes-scale job instead of an hours-scale one.
+order 7 a minutes-scale job instead of an hours-scale one.  Each order's
+words, distinct rows and component counts are built once per process,
+under a lock, and every caller reads the same read-only arrays.
 
 The mask-level operations (pivot, the component of each vertex) and the
 per-graph structure tables (independence number, component count, edge
@@ -28,6 +30,7 @@ rows.  Use the recursive engine for individual larger graphs.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -181,6 +184,35 @@ def label_swap_masks(masks: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
 # -- the coefficient table ---------------------------------------------------
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# The per-process tables: words(k) for k < len(_WORDS), and distinct(k) and
+# component_count_table(k) by order, each built once under _LOCK.
+_LOCK = threading.Lock()
+_WORDS = [_read_only(np.ones(1, dtype=WORD))]
+_DISTINCT: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_COMPONENTS: dict[int, np.ndarray] = {}
+
+
+def _build_level(k: int) -> np.ndarray:
+    """The order-k words, one pivot-reduction pass over the order-(k-1) ones."""
+    nb = pair_count(k)
+    prev = _WORDS[k - 1]
+    words = np.zeros(1 << nb, dtype=WORD)
+    words[0] = 1 << 8 * k  # the edgeless graph: x^k
+    for b in range(nb):
+        i, j = pair_of_bit(b)
+        # all masks whose lowest set bit is b
+        masks = (np.arange(1 << (nb - b - 1), dtype=np.int64) << (b + 1)) | (1 << b)
+        del_i = delete_vertex_masks(masks, i, k)
+        del_j = delete_vertex_masks(pivot_masks(masks, i, j, k), j, k)
+        words[masks] = prev[del_i] + prev[del_j]
+    return _read_only(words)
+
+
 class CoefficientTable:
     """Interlace polynomials of all labeled graphs of orders 0..n_max.
 
@@ -192,6 +224,9 @@ class CoefficientTable:
     every row-wise function of q runs once per distinct polynomial
     (``distinct(k)``) and is gathered back to the masks.  ``table(k)`` is
     the int64 array of shape (2^C(k,2), k+1) of the same coefficients.
+
+    Words and distinct rows are built once per process and shared read-only
+    by every instance; an instance answers for orders 0..n_max only.
     """
 
     def __init__(self, n_max: int):
@@ -202,42 +237,26 @@ class CoefficientTable:
                 f"coefficient tables stop at order {TABLE_MAX_ORDER}"
             )
         self.n_max = n_max
-        self._words = [np.ones(1, dtype=WORD)]
-        self._distinct: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for k in range(1, n_max + 1):
-            self._words.append(self._build_level(k))
-
-    def _build_level(self, k: int) -> np.ndarray:
-        nb = pair_count(k)
-        prev = self._words[k - 1]
-        words = np.zeros(1 << nb, dtype=WORD)
-        words[0] = 1 << 8 * k  # the edgeless graph: x^k
-        for b in range(nb):
-            i, j = pair_of_bit(b)
-            # all masks whose lowest set bit is b
-            masks = (
-                np.arange(1 << (nb - b - 1), dtype=np.int64) << (b + 1)
-            ) | (1 << b)
-            del_i = delete_vertex_masks(masks, i, k)
-            del_j = delete_vertex_masks(pivot_masks(masks, i, j, k), j, k)
-            words[masks] = prev[del_i] + prev[del_j]
-        return words
+        with _LOCK:
+            while len(_WORDS) <= n_max:
+                _WORDS.append(_build_level(len(_WORDS)))
 
     def words(self, n: int) -> np.ndarray:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"order must be in 0..{self.n_max}, got {n}")
-        return self._words[n]
+        return _WORDS[n]
 
     def distinct(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(rows, index): the distinct order-n polynomials as int64
         coefficient rows, in increasing word order, and for every mask
         the row of its polynomial, so q(mask) = rows[index[mask]]."""
-        if n not in self._distinct:
-            words = self.words(n)
-            u = np.unique(words)
-            rows = u.view(np.uint8).reshape(-1, 8)[:, : n + 1].astype(np.int64)
-            self._distinct[n] = rows, np.searchsorted(u, words)
-        return self._distinct[n]
+        words = self.words(n)  # this instance's range check comes first
+        with _LOCK:
+            if n not in _DISTINCT:
+                u = np.unique(words)
+                rows = u.view(np.uint8).reshape(-1, 8)[:, : n + 1].astype(np.int64)
+                _DISTINCT[n] = _read_only(rows), _read_only(np.searchsorted(u, words))
+        return _DISTINCT[n]
 
     def table(self, n: int) -> np.ndarray:
         rows, index = self.distinct(n)
@@ -321,10 +340,15 @@ def vertex_component_masks(masks: np.ndarray, n: int) -> np.ndarray:
 
 def component_count_table(n: int) -> np.ndarray:
     """Number of connected components of every order-n graph: the vertices
-    whose component holds no lower vertex."""
-    masks = np.arange(1 << pair_count(n), dtype=np.int64)
-    comp = vertex_component_masks(masks, n)
-    return lowest_in_component(comp).sum(axis=1, dtype=np.int8)
+    whose component holds no lower vertex.  Built once per order per
+    process, and read-only."""
+    with _LOCK:
+        if n not in _COMPONENTS:
+            masks = np.arange(1 << pair_count(n), dtype=np.int64)
+            comp = vertex_component_masks(masks, n)
+            count = lowest_in_component(comp).sum(axis=1, dtype=np.int8)
+            _COMPONENTS[n] = _read_only(count)
+    return _COMPONENTS[n]
 
 
 def lowest_in_component(comp: np.ndarray) -> np.ndarray:

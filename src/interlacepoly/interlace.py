@@ -21,7 +21,8 @@ The recursion here is exponential but heavily pruned:
 * in a graph of order >= LEAF_TABLE_MIN_ORDER (T = 16, the least order at
   which a call that builds the table is no slower), each subproblem of
   order <= 6 is one lookup, ahead of the split and the memo, in a table
-  keyed by pair mask and built once per process from CoefficientTable(6).
+  keyed by pair mask and converted once per process from the order <= 6
+  words that enumeration shares with every CoefficientTable.
 
 The pivot edge is chosen deterministically: first endpoint of minimum
 degree (ties by index), second its lowest-indexed neighbor.  Deleting a

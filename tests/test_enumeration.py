@@ -7,8 +7,14 @@ object-level ones.
 """
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import compress, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +36,9 @@ from interlacepoly.graphs import (
     relabel,
 )
 from interlacepoly.interlace import interlace_polynomial
+
+TABLE_6_SHA256 = "d11de5658566c695e761fb3819bb73180497cc7ab1d95080cdaaa06463fa03e2"
+TABLE_7_SHA256 = "e3a2d232aabd240e2d23daf1cf7bd4d01dc0ded52b23145ffe8830542bf56d69"
 
 
 def test_pair_index_roundtrip():
@@ -91,7 +100,7 @@ def test_table_matches_recursion_sampled_orders_5_to_7(table7):
             assert row[: len(expected)] == expected
             assert all(c == 0 for c in row[len(expected) :])
     digest = hashlib.sha256(table7.table(7).tobytes()).hexdigest()
-    assert digest == "e3a2d232aabd240e2d23daf1cf7bd4d01dc0ded52b23145ffe8830542bf56d69"
+    assert digest == TABLE_7_SHA256
 
 
 def test_packed_words_hold_the_coefficient_rows(table7):
@@ -120,17 +129,119 @@ def test_table_order_cap():
         en.CoefficientTable(8)
     with pytest.raises(ValueError, match="at least 0"):
         en.CoefficientTable(-1)
+    shared = en.CoefficientTable(7)
+    for k in range(8):  # the shared words and distinct rows now reach order 7
+        shared.distinct(k)
     table = en.CoefficientTable(3)
-    for order in (-1, 4):
-        with pytest.raises(ValueError, match=r"0\.\.3, got"):
-            table.table(order)
-        with pytest.raises(ValueError, match=r"0\.\.3, got"):
-            table.degrees(order)
+    readers = (
+        table.words, table.distinct, table.table, lambda n: table.evaluate(n, 2),
+        table.degrees, table.lowest_degrees, table.nonzero_term_counts,
+    )
+    for order in (-1, 4, 7):
+        for read in readers:
+            with pytest.raises(ValueError, match=rf"0\.\.3, got {order}"):
+                read(order)
 
 
 def test_table_order_6_bytes_are_pinned():
     digest = hashlib.sha256(en.CoefficientTable(6).table(6).tobytes()).hexdigest()
-    assert digest == "d11de5658566c695e761fb3819bb73180497cc7ab1d95080cdaaa06463fa03e2"
+    assert digest == TABLE_6_SHA256
+
+
+def _run_fresh(*parts: str) -> str:
+    """Standard output of a script, its parts dedented and joined, run in a
+    fresh interpreter on src."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", "\n".join(map(textwrap.dedent, parts))], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_shared_tables_are_read_only(table7):
+    for k in range(8):
+        rows, index = table7.distinct(k)
+        assert en.CoefficientTable(k).words(k) is table7.words(k)
+        assert en.CoefficientTable(k).distinct(k)[1] is index
+        for array in (table7.words(k), rows, index, en.component_count_table(k)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+
+SUITE_CALLS = (
+    "suites.run_extremal_suite(6)",
+    "suites.run_conjecture_suite(6, random_samples=0)",
+    "suites.run_identity_suite(5, word_samples=0)",
+    "suites.run_orbit_suite(4)",
+)
+DIGEST_SCRIPT = """
+    import hashlib, json
+    from interlacepoly import enumeration as en, suites
+
+    def digest(report):
+        data = report.to_json_dict()
+        data.pop("elapsed_ms")
+        text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
+"""
+
+
+def test_every_level_is_built_once_per_process():
+    """One process builds each order's words once, however many tables and
+    suites read them, and the suites report as they do run alone."""
+    together = json.loads(_run_fresh(DIGEST_SCRIPT, f"""
+        from collections import Counter
+
+        built, build = Counter(), en._build_level
+
+        def counting(k):
+            built[k] += 1
+            return build(k)
+
+        en._build_level = counting
+        en.CoefficientTable(7)
+        en.CoefficientTable(5)
+        digests = [digest(call) for call in ({", ".join(SUITE_CALLS)},)]
+        shared = [en.component_count_table(n) is en.component_count_table(n)
+                  for n in range(7)]
+        print(json.dumps({{"built": built, "digests": digests, "shared": shared}}))
+    """))
+    assert together["built"] == {str(k): 1 for k in range(1, 8)}
+    assert all(together["shared"])
+    alone = [_run_fresh(DIGEST_SCRIPT, f"print(digest({call}))").strip()
+             for call in SUITE_CALLS]
+    assert together["digests"] == alone
+
+
+def test_concurrent_first_builds_agree_with_the_pins():
+    out = _run_fresh("""
+        import hashlib, sys, threading
+        from interlacepoly import enumeration as en
+
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        start, tables = threading.Barrier(2), {}
+
+        def build(n):
+            start.wait()
+            tables[n] = en.CoefficientTable(n)
+
+        threads = [threading.Thread(target=build, args=(n,)) for n in (6, 7)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        print(len(en._WORDS))
+        for n in (6, 7):
+            print(hashlib.sha256(tables[n].table(n).tobytes()).hexdigest())
+    """)
+    assert out.split() == ["8", TABLE_6_SHA256, TABLE_7_SHA256]
 
 
 def _check_mask_operations(n, masks):
