@@ -6,16 +6,17 @@ column-major upper-triangle order as graph6).  All 2^C(n,2) graphs of one
 order live in a single numpy array, and the interlace polynomial of every
 one of them is computed by a bottom-up sweep of the pivot reduction
 
-    q(G) = q(G - i) + q(G^{ij} - j)
+    q(G) = q(G - v) + q(G^{vb} - b)
 
-grouped by the lowest set bit of the mask (a canonical first edge), so
-each order is one vectorized pass over the previous order's table.  Each
-graph's polynomial is one packed word q(G;256), a uint64 with a byte per
-coefficient, and row-wise checks run once per distinct polynomial.  That
-is what makes exhaustive identity checking over all 2,097,152 graphs of
-order 7 a minutes-scale job instead of an hours-scale one.  Each order's
-words, distinct rows and component counts are built once per process,
-under a lock, and every caller reads the same read-only arrays.
+on the last vertex v: G - v is the low bits of the mask, and N(v), its
+high bits, splits the masks into contiguous blocks, so each order is one
+pass over the previous order's table.  Each graph's polynomial is one
+packed word q(G;256), a uint64 with a byte per coefficient, and row-wise
+checks run once per distinct polynomial.  That is what makes exhaustive
+identity checking over all 2,097,152 graphs of order 7 a minutes-scale job
+instead of an hours-scale one.  Each order's words, distinct rows and
+component counts are built once per process, under a lock, and every
+caller reads the same read-only arrays.
 
 The mask-level operations (pivot, the component of each vertex) and the
 per-graph structure tables (independence number, component count, edge
@@ -189,28 +190,41 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# The per-process tables: words(k) for k < len(_WORDS), and distinct(k) and
-# component_count_table(k) by order, each built once under _LOCK.
+# The per-process tables by order, each built once under _LOCK: words(k) and
+# distinct(k) for k < len(_WORDS), component_count_table(k) for k < len(_COMPONENTS).
 _LOCK = threading.Lock()
 _WORDS = [_read_only(np.ones(1, dtype=WORD))]
-_DISTINCT: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_COMPONENTS: dict[int, np.ndarray] = {}
+_DISTINCT = [(_read_only(np.ones((1, 1), dtype=np.int64)), _read_only(np.zeros(1, np.intp)))]
+_COMPONENTS = [_read_only(np.zeros(1, dtype=np.int8))]
 
 
-def _build_level(k: int) -> np.ndarray:
-    """The order-k words, one pivot-reduction pass over the order-(k-1) ones."""
-    nb = pair_count(k)
-    prev = _WORDS[k - 1]
-    words = np.zeros(1 << nb, dtype=WORD)
-    words[0] = 1 << 8 * k  # the edgeless graph: x^k
-    for b in range(nb):
-        i, j = pair_of_bit(b)
-        # all masks whose lowest set bit is b
-        masks = (np.arange(1 << (nb - b - 1), dtype=np.int64) << (b + 1)) | (1 << b)
-        del_i = delete_vertex_masks(masks, i, k)
-        del_j = delete_vertex_masks(pivot_masks(masks, i, j, k), j, k)
-        words[masks] = prev[del_i] + prev[del_j]
-    return _read_only(words)
+def _build_level(k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The order-k words and distinct (rows, index), by the reduction on the
+    last vertex v, one block of masks per S = N(v): x q(G - v) if S = 0, else
+    q(G - v) + q(G^{vb} - b), b = min S.  With v named b, G^{vb} - b is G - v
+    with the complete tripartite graph on S - N(b) - b, N(b) - S and
+    (S & N(b)) + b toggled.  A mask's key is the pair of order-(k-1) rows it
+    adds, and each key that occurs is summed once."""
+    n, prev, (prev_rows, prev_index) = k - 1, _WORDS[k - 1], _DISTINCT[k - 1]
+    d = len(prev_rows)
+    prev_u = np.zeros(d, dtype=WORD)
+    prev_u[prev_index] = prev  # the distinct words, in row order
+    assert d * d + d < 1 << 16, "the keys must fit uint16"
+    low = np.arange(len(prev), dtype=np.int64)
+    S, N = np.arange(1 << n, dtype=np.uint8)[:, None], np.arange(1 << n, dtype=np.uint8)
+    toggle = multipartite_masks(n, S & ~N ^ (S & -S), N & ~S, S & N | S & -S)
+    row = prev_index.astype(np.uint16)
+    key = np.empty((1 << n, len(prev)), dtype=np.uint16)
+    key[0] = d * d + row
+    for s in range(1, 1 << n):
+        N_b = neighbor_sets(low, (s & -s).bit_length() - 1, n)
+        key[s] = row * d + row[low ^ toggle[s][N_b]]
+    sums = np.concatenate([(prev_u[:, None] + prev_u).ravel(), prev_u << 8])  # by key
+    occurring = sums[np.bincount(key.ravel(), minlength=len(sums)) > 0]
+    u = np.array(sorted(set(occurring.tolist())), dtype=WORD)  # np.unique imports numpy.ma
+    index = np.searchsorted(u, sums)[key.ravel()]
+    rows = u.view(np.uint8).reshape(-1, 8)[:, : k + 1].astype(np.int64)
+    return _read_only(u[index]), (_read_only(rows), _read_only(index))
 
 
 class CoefficientTable:
@@ -239,7 +253,9 @@ class CoefficientTable:
         self.n_max = n_max
         with _LOCK:
             while len(_WORDS) <= n_max:
-                _WORDS.append(_build_level(len(_WORDS)))
+                words, distinct = _build_level(len(_WORDS))
+                _DISTINCT.append(distinct)
+                _WORDS.append(words)
 
     def words(self, n: int) -> np.ndarray:
         if not 0 <= n <= self.n_max:
@@ -249,13 +265,9 @@ class CoefficientTable:
     def distinct(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(rows, index): the distinct order-n polynomials as int64
         coefficient rows, in increasing word order, and for every mask
-        the row of its polynomial, so q(mask) = rows[index[mask]]."""
-        words = self.words(n)  # this instance's range check comes first
-        with _LOCK:
-            if n not in _DISTINCT:
-                u = np.unique(words)
-                rows = u.view(np.uint8).reshape(-1, 8)[:, : n + 1].astype(np.int64)
-                _DISTINCT[n] = _read_only(rows), _read_only(np.searchsorted(u, words))
+        the row of its polynomial, so q(mask) = rows[index[mask]].  Built
+        with the words."""
+        self.words(n)  # this instance's range check
         return _DISTINCT[n]
 
     def table(self, n: int) -> np.ndarray:
@@ -338,16 +350,23 @@ def vertex_component_masks(masks: np.ndarray, n: int) -> np.ndarray:
     return reach.T
 
 
+def _component_level(k: int) -> np.ndarray:
+    n = k - 1  # one block per S = N(v), as in _build_level
+    comp = vertex_component_masks(np.arange(1 << pair_count(n), dtype=np.int64), n)
+    root = comp & -comp  # the lowest vertex of each vertex's component
+    S = np.arange(1 << n, dtype=np.uint8)[:, None]
+    met = reduce(np.bitwise_or, (root[:, u] & -(S >> u & 1) for u in range(n)), np.uint8(0))
+    return (_COMPONENTS[n] + 1 - np.bitwise_count(met).view(np.int8)).ravel()
+
+
 def component_count_table(n: int) -> np.ndarray:
-    """Number of connected components of every order-n graph: the vertices
-    whose component holds no lower vertex.  Built once per order per
-    process, and read-only."""
+    """Number of connected components of every order-n graph, by order on the
+    last vertex v: c(G - v) + 1 - the number of components of G - v that N(v)
+    meets, counted by their lowest vertices.  Every order up to n is built
+    once per process, and read-only."""
     with _LOCK:
-        if n not in _COMPONENTS:
-            masks = np.arange(1 << pair_count(n), dtype=np.int64)
-            comp = vertex_component_masks(masks, n)
-            count = lowest_in_component(comp).sum(axis=1, dtype=np.int8)
-            _COMPONENTS[n] = _read_only(count)
+        while len(_COMPONENTS) <= n:
+            _COMPONENTS.append(_read_only(_component_level(len(_COMPONENTS))))
     return _COMPONENTS[n]
 
 

@@ -22,7 +22,7 @@ The recursion here is exponential but heavily pruned:
   which a call that builds the table is no slower), each subproblem of
   order <= 6 is one lookup, ahead of the split and the memo, in a table
   keyed by pair mask and converted once per process from the order <= 6
-  words that enumeration shares with every CoefficientTable.
+  distinct rows that enumeration shares with every CoefficientTable.
 
 The pivot edge is chosen deterministically: first endpoint of minimum
 degree (ties by index), second its lowest-indexed neighbor.  Deleting a
@@ -67,15 +67,14 @@ LEAF_TABLE_MIN_ORDER = 16
 @lru_cache(maxsize=None)
 def _leaf_table() -> tuple[list[int], ...]:
     """``leaves[k][mask]``: packed q of every graph of order k <= LEAF_ORDER,
-    converted from the q(G;256) words once per distinct word."""
+    packed once per distinct coefficient row."""
     from .enumeration import CoefficientTable  # no numpy import with the engine
     table = CoefficientTable(LEAF_ORDER)
     leaves = []
     for k in range(LEAF_ORDER + 1):
-        words = table.words(k).tolist()
-        packed = {w: sum((w >> 8 * d & 255) << LANE * d for d in range(k + 1))
-                  for w in set(words)}
-        leaves.append([packed[w] for w in words])
+        rows, index = table.distinct(k)
+        packed = [sum(c << LANE * d for d, c in enumerate(row)) for row in rows.tolist()]
+        leaves.append([packed[i] for i in index.tolist()])
     return tuple(leaves)
 
 

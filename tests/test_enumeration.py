@@ -124,6 +124,19 @@ def test_packed_words_hold_the_coefficient_rows(table7):
         assert (rows[index] == T).all()
 
 
+def test_distinct_rows_are_the_sorted_words_and_their_ranks(table7):
+    """The build keys each mask by the pair of rows it adds; its rows and
+    index equal those of one sort and search over the words."""
+    for k in range(8):
+        words = table7.words(k)
+        u = np.unique(words)
+        index = np.searchsorted(u, words)
+        rows = u.view(np.uint8).reshape(-1, 8)[:, : k + 1].astype(np.int64)
+        got_rows, got_index = table7.distinct(k)
+        assert got_rows.dtype == rows.dtype and got_index.dtype == index.dtype
+        assert np.array_equal(got_rows, rows) and np.array_equal(got_index, index)
+
+
 def test_table_order_cap():
     with pytest.raises(TooLargeError):
         en.CoefficientTable(8)
@@ -198,21 +211,26 @@ def test_every_level_is_built_once_per_process():
     together = json.loads(_run_fresh(DIGEST_SCRIPT, f"""
         from collections import Counter
 
-        built, build = Counter(), en._build_level
+        built = {{"words": Counter(), "components": Counter()}}
 
-        def counting(k):
-            built[k] += 1
-            return build(k)
+        def counting(name, build):
+            def counted(k):
+                built[name][k] += 1
+                return build(k)
+            return counted
 
-        en._build_level = counting
+        en._build_level = counting("words", en._build_level)
+        en._component_level = counting("components", en._component_level)
         en.CoefficientTable(7)
         en.CoefficientTable(5)
+        en.component_count_table(7)
         digests = [digest(call) for call in ({", ".join(SUITE_CALLS)},)]
         shared = [en.component_count_table(n) is en.component_count_table(n)
-                  for n in range(7)]
+                  for n in range(8)]
         print(json.dumps({{"built": built, "digests": digests, "shared": shared}}))
     """))
-    assert together["built"] == {str(k): 1 for k in range(1, 8)}
+    once = {str(k): 1 for k in range(1, 8)}
+    assert together["built"] == {"words": once, "components": once}
     assert all(together["shared"])
     alone = [_run_fresh(DIGEST_SCRIPT, f"print(digest({call}))").strip()
              for call in SUITE_CALLS]
@@ -331,6 +349,15 @@ def test_component_tables_match_graph_components():
             expected = component_masks(g)
             assert count[mask] == component_count(g) == len(expected)
             assert row == [next(c for c in expected if c >> v & 1) for v in range(n)]
+
+
+def test_component_counts_match_the_closure_on_every_mask():
+    """The recursion on the last vertex against the Warshall closure of
+    each mask's vertex components, on every mask of every order <= 7."""
+    for n in range(8):
+        masks = np.arange(1 << en.pair_count(n), dtype=np.int64)
+        closure = en.lowest_in_component(en.vertex_component_masks(masks, n))
+        assert np.array_equal(en.component_count_table(n), closure.sum(axis=1))
 
 
 def test_free_trees():
