@@ -101,9 +101,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             " enumerate covers (2^C(n,2) graphs)"
         )
     table = en.CoefficientTable(n)
-    words = table.words(n)
     rows, index = table.distinct(n)
-    masks = np.arange(len(words))
+    masks = np.arange(len(index))
     if args.connected:
         masks = masks[en.component_count_table(n) <= 1]
 
@@ -113,7 +112,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     if args.distinct:
         _, first, counts = np.unique(
-            words[masks], return_index=True, return_counts=True
+            index[masks], return_index=True, return_counts=True
         )
         for i in np.argsort(first):  # in order of each polynomial's first mask
             mask = masks[first[i]]

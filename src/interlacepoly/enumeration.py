@@ -14,13 +14,15 @@ pass over the previous order's table.  Each graph's polynomial is one
 packed word q(G;256), a uint64 with a byte per coefficient, and row-wise
 checks run once per distinct polynomial.  That is what makes exhaustive
 identity checking over all 2,097,152 graphs of order 7 a minutes-scale job
-instead of an hours-scale one.  Each order's words, distinct rows and
-component counts are built once per process, under a lock, and every
-caller reads the same read-only arrays.
+instead of an hours-scale one.  Each order's distinct words, every mask's
+index into them and the component counts are built once per process,
+under one lock, and every caller reads the same read-only arrays.
 
 The mask-level operations (pivot, the component of each vertex) and the
 per-graph structure tables (independence number, component count, edge
 count, isolated vertices) are all vectorized over mask arrays as well.
+The pivot, the sweep's block toggles and the stars read one table per order:
+the complete tripartite graph on X - Y, Y - X and X & Y, for all X and Y.
 Every relabeling (vertex deletion, label swap, disjoint-union shift) and
 the neighbour sets are bit maps, each compiled once into one 256-entry
 table per source byte and applied as one gather and OR per byte.
@@ -93,6 +95,11 @@ def all_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
 # -- vectorized mask operations --------------------------------------------
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @lru_cache(maxsize=None)
 def induced_pair_masks(n: int) -> np.ndarray:
     """K[S]: ``table[s]`` is the mask of the vertex pairs inside the vertex
@@ -102,19 +109,17 @@ def induced_pair_masks(n: int) -> np.ndarray:
     table = np.zeros(1 << n, dtype=np.int64)
     for i, j in combinations(range(n), 2):
         table |= (subsets >> i & subsets >> j & 1) << pair_index(i, j)
-    table.flags.writeable = False
-    return table
+    return _read_only(table)
 
 
-def multipartite_masks(n: int, *parts: int | np.ndarray) -> np.ndarray:
-    """Masks of the complete multipartite graph on the disjoint vertex sets
-    ``parts`` (vertex bitmasks, or arrays of them): K[union] minus each
-    K[part]."""
+@lru_cache(maxsize=None)
+def tripartite_toggles(n: int) -> np.ndarray:
+    """``T[X, Y]`` is the mask of the complete tripartite graph on the
+    vertex sets X - Y, Y - X and X & Y, for all X, Y over range(n): K[X | Y]
+    with K of each class XORed out.  Built once per order, read-only."""
     K = induced_pair_masks(n)
-    out = K[reduce(np.bitwise_or, parts)]
-    for part in parts:
-        out ^= K[part]
-    return out
+    X, Y = np.arange(1 << n)[:, None], np.arange(1 << n)
+    return _read_only(K[X | Y] ^ K[X & ~Y] ^ K[Y & ~X] ^ K[X & Y])
 
 
 @lru_cache(maxsize=None)
@@ -173,8 +178,7 @@ def pivot_masks(masks: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     than a and b that see a only, b only, and both.
     """
     na, nb = neighbor_sets(masks, a, n), neighbor_sets(masks, b, n)
-    toggle = multipartite_masks(n, na & ~nb ^ 1 << b, nb & ~na ^ 1 << a, na & nb)
-    return masks ^ toggle
+    return masks ^ tripartite_toggles(n)[na ^ 1 << b, nb ^ 1 << a]
 
 
 def label_swap_masks(masks: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
@@ -185,46 +189,44 @@ def label_swap_masks(masks: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
 # -- the coefficient table ---------------------------------------------------
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-# The per-process tables by order, each built once under _LOCK: words(k) and
-# distinct(k) for k < len(_WORDS), component_count_table(k) for k < len(_COMPONENTS).
+# The per-process tables by order, each built once by _extend: _LEVELS[k] is
+# (the distinct words u, every mask's index into u), _COMPONENTS[k] the counts.
 _LOCK = threading.Lock()
-_WORDS = [_read_only(np.ones(1, dtype=WORD))]
-_DISTINCT = [(_read_only(np.ones((1, 1), dtype=np.int64)), _read_only(np.zeros(1, np.intp)))]
+_LEVELS = [(_read_only(np.ones(1, dtype=WORD)), _read_only(np.zeros(1, np.intp)))]
 _COMPONENTS = [_read_only(np.zeros(1, dtype=np.int8))]
 
 
-def _build_level(k: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The order-k words and distinct (rows, index), by the reduction on the
-    last vertex v, one block of masks per S = N(v): x q(G - v) if S = 0, else
-    q(G - v) + q(G^{vb} - b), b = min S.  With v named b, G^{vb} - b is G - v
-    with the complete tripartite graph on S - N(b) - b, N(b) - S and
-    (S & N(b)) + b toggled.  A mask's key is the pair of order-(k-1) rows it
+def _extend(store: list, build, n: int):
+    """``store[n]``, after appending ``build(k)`` for each missing order k."""
+    with _LOCK:
+        while len(store) <= n:
+            store.append(build(len(store)))
+    return store[n]
+
+
+def _build_level(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-k distinct words u, increasing, and every mask's index into
+    them, by the reduction on the last vertex v, one block of masks per
+    S = N(v): x q(G - v) if S = 0, else q(G - v) + q(G^{vb} - b), b = min S.
+    With v named b, G^{vb} - b is G - v with the tripartite toggle
+    T[S, N(b) | b] applied.  A mask's key is the pair of order-(k-1) rows it
     adds, and each key that occurs is summed once."""
-    n, prev, (prev_rows, prev_index) = k - 1, _WORDS[k - 1], _DISTINCT[k - 1]
-    d = len(prev_rows)
-    prev_u = np.zeros(d, dtype=WORD)
-    prev_u[prev_index] = prev  # the distinct words, in row order
+    n, (prev_u, prev_index) = k - 1, _LEVELS[k - 1]
+    d = len(prev_u)
     assert d * d + d < 1 << 16, "the keys must fit uint16"
-    low = np.arange(len(prev), dtype=np.int64)
-    S, N = np.arange(1 << n, dtype=np.uint8)[:, None], np.arange(1 << n, dtype=np.uint8)
-    toggle = multipartite_masks(n, S & ~N ^ (S & -S), N & ~S, S & N | S & -S)
+    low = np.arange(len(prev_index), dtype=np.int64)
+    toggle = tripartite_toggles(n)
+    N = [neighbor_sets(low, b, n) for b in range(n)]  # N(b) in G - v
     row = prev_index.astype(np.uint16)
-    key = np.empty((1 << n, len(prev)), dtype=np.uint16)
+    key = np.empty((1 << n, len(low)), dtype=np.uint16)
     key[0] = d * d + row
     for s in range(1, 1 << n):
-        N_b = neighbor_sets(low, (s & -s).bit_length() - 1, n)
-        key[s] = row * d + row[low ^ toggle[s][N_b]]
+        b = s & -s
+        key[s] = row * d + row[low ^ toggle[s][N[b.bit_length() - 1] | b]]
     sums = np.concatenate([(prev_u[:, None] + prev_u).ravel(), prev_u << 8])  # by key
     occurring = sums[np.bincount(key.ravel(), minlength=len(sums)) > 0]
     u = np.array(sorted(set(occurring.tolist())), dtype=WORD)  # np.unique imports numpy.ma
-    index = np.searchsorted(u, sums)[key.ravel()]
-    rows = u.view(np.uint8).reshape(-1, 8)[:, : k + 1].astype(np.int64)
-    return _read_only(u[index]), (_read_only(rows), _read_only(index))
+    return _read_only(u), _read_only(np.searchsorted(u, sums)[key.ravel()])
 
 
 class CoefficientTable:
@@ -239,8 +241,9 @@ class CoefficientTable:
     (``distinct(k)``) and is gathered back to the masks.  ``table(k)`` is
     the int64 array of shape (2^C(k,2), k+1) of the same coefficients.
 
-    Words and distinct rows are built once per process and shared read-only
-    by every instance; an instance answers for orders 0..n_max only.
+    Each order keeps its distinct words and every mask's index into them,
+    built once per process and shared read-only; ``words(k)`` is gathered
+    through the index.  An instance answers for orders 0..n_max only.
     """
 
     def __init__(self, n_max: int):
@@ -251,24 +254,23 @@ class CoefficientTable:
                 f"coefficient tables stop at order {TABLE_MAX_ORDER}"
             )
         self.n_max = n_max
-        with _LOCK:
-            while len(_WORDS) <= n_max:
-                words, distinct = _build_level(len(_WORDS))
-                _DISTINCT.append(distinct)
-                _WORDS.append(words)
+        _extend(_LEVELS, _build_level, n_max)
 
-    def words(self, n: int) -> np.ndarray:
+    def _level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"order must be in 0..{self.n_max}, got {n}")
-        return _WORDS[n]
+        return _LEVELS[n]
+
+    def words(self, n: int) -> np.ndarray:
+        u, index = self._level(n)
+        return u[index]
 
     def distinct(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, index): the distinct order-n polynomials as int64
-        coefficient rows, in increasing word order, and for every mask
-        the row of its polynomial, so q(mask) = rows[index[mask]].  Built
-        with the words."""
-        self.words(n)  # this instance's range check
-        return _DISTINCT[n]
+        """(rows, index): the distinct order-n polynomials as int64 rows, in
+        increasing word order, read from the words' bytes, and for every mask
+        the row of its polynomial, so q(mask) = rows[index[mask]]."""
+        u, index = self._level(n)
+        return u.view(np.uint8).reshape(-1, 8)[:, : n + 1].astype(np.int64), index
 
     def table(self, n: int) -> np.ndarray:
         rows, index = self.distinct(n)
@@ -305,7 +307,7 @@ def edge_count_table(n: int) -> np.ndarray:
 
 def incident_bits(n: int, v: int) -> int:
     """The mask of the pairs that hold v: the star from v to the rest."""
-    return int(multipartite_masks(n, 1 << v, (1 << n) - 1 ^ 1 << v))
+    return int(tripartite_toggles(n)[1 << v, (1 << n) - 1 ^ 1 << v])
 
 
 def isolated_count_table(n: int) -> np.ndarray:
@@ -356,7 +358,7 @@ def _component_level(k: int) -> np.ndarray:
     root = comp & -comp  # the lowest vertex of each vertex's component
     S = np.arange(1 << n, dtype=np.uint8)[:, None]
     met = reduce(np.bitwise_or, (root[:, u] & -(S >> u & 1) for u in range(n)), np.uint8(0))
-    return (_COMPONENTS[n] + 1 - np.bitwise_count(met).view(np.int8)).ravel()
+    return _read_only((_COMPONENTS[n] + 1 - np.bitwise_count(met).view(np.int8)).ravel())
 
 
 def component_count_table(n: int) -> np.ndarray:
@@ -364,10 +366,7 @@ def component_count_table(n: int) -> np.ndarray:
     last vertex v: c(G - v) + 1 - the number of components of G - v that N(v)
     meets, counted by their lowest vertices.  Every order up to n is built
     once per process, and read-only."""
-    with _LOCK:
-        while len(_COMPONENTS) <= n:
-            _COMPONENTS.append(_read_only(_component_level(len(_COMPONENTS))))
-    return _COMPONENTS[n]
+    return _extend(_COMPONENTS, _component_level, n)
 
 
 def lowest_in_component(comp: np.ndarray) -> np.ndarray:

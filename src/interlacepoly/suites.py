@@ -708,7 +708,8 @@ def _class_sets(n: int, k: int) -> np.ndarray:
 
 
 def _tripartite_plus_isolated_masks(n: int) -> set[int]:
-    return set(en.multipartite_masks(n, *_class_sets(n, 4)[:3]).tolist())
+    """Each (X, Y) assigns range(n) to X - Y, Y - X, X & Y and the isolated rest."""
+    return set(en.tripartite_toggles(n).ravel().tolist())
 
 
 def _labeled_path_masks(n: int) -> set[int]:

@@ -178,11 +178,14 @@ def _run_fresh(*parts: str) -> str:
 
 
 def test_shared_tables_are_read_only(table7):
+    """Each order stores one (distinct words, index) pair; the per-mask
+    words are gathered through the index on read."""
     for k in range(8):
-        rows, index = table7.distinct(k)
-        assert en.CoefficientTable(k).words(k) is table7.words(k)
+        u, index = en._LEVELS[k]
         assert en.CoefficientTable(k).distinct(k)[1] is index
-        for array in (table7.words(k), rows, index, en.component_count_table(k)):
+        assert np.array_equal(table7.words(k), u[index])
+        shared = (u, index, en.tripartite_toggles(k), en.component_count_table(k))
+        for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
 
@@ -255,7 +258,7 @@ def test_concurrent_first_builds_agree_with_the_pins():
         for t in threads:
             t.join(timeout=120)
             assert not t.is_alive()
-        print(len(en._WORDS))
+        print(len(en._LEVELS))
         for n in (6, 7):
             print(hashlib.sha256(tables[n].table(n).tobytes()).hexdigest())
     """)
@@ -309,6 +312,20 @@ def test_mask_operations_match_graph_operations():
     _check_mask_operations(7, np.array(masks, dtype=np.uint32))
     with pytest.raises(ValueError, match="does not fit in uint32"):
         en.relabel_masks(np.array(masks, dtype=np.uint32), range(2, 9), 7)
+
+
+def test_tripartite_toggles_match_a_pair_by_pair_construction():
+    """T[X, Y] holds pair {i, j} iff i and j lie in two different classes
+    among X - Y, Y - X and X & Y, at every order <= 7 and every (X, Y)."""
+    for n in range(8):
+        X, Y = np.arange(1 << n)[:, None], np.arange(1 << n)
+        cls = [(X >> v & 1) + 2 * (Y >> v & 1) for v in range(n)]  # 0: in neither
+        expected = np.zeros((1 << n, 1 << n), dtype=np.int64)
+        for j in range(n):
+            for i in range(j):
+                apart = (cls[i] != 0) & (cls[j] != 0) & (cls[i] != cls[j])
+                expected |= apart.astype(np.int64) << en.pair_index(i, j)
+        assert np.array_equal(en.tripartite_toggles(n), expected), n
 
 
 def test_structure_tables_match_per_graph_functions():
