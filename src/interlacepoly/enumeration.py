@@ -1,8 +1,8 @@
 """Exhaustive labeled-graph enumeration and vectorized coefficient tables.
 
 A labeled graph of order n is encoded as a C(n,2)-bit mask over vertex
-pairs, bit position pair_index(i, j) = C(j,2) + i for i < j (the same
-column-major upper-triangle order as graph6).  All 2^C(n,2) graphs of one
+pairs, bit position pair_index(i, j) = C(j,2) + i for i < j: the pair mask
+of ``graphs``, whose graph6 body is the same bits.  All 2^C(n,2) graphs of one
 order live in a single numpy array, and the interlace polynomial of every
 one of them is computed by a bottom-up sweep of the pivot reduction
 
@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, TooLargeError
+from .graphs import Graph, TooLargeError, _mask_of_rows, _rows_of_mask
 
 TABLE_MAX_ORDER = 7
 WORD = np.dtype("<u8")  # a packed word: byte d is its degree-d coefficient
@@ -57,28 +57,14 @@ def pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-def pair_of_bit(b: int) -> tuple[int, int]:
-    j = 1
-    while j * (j + 1) // 2 <= b:
-        j += 1
-    return b - j * (j - 1) // 2, j
-
-
 def mask_of_graph(g: Graph) -> int:
-    mask = 0
-    for i, j in g.edges():
-        mask |= 1 << pair_index(i, j)
-    return mask
+    return _mask_of_rows(g.rows)
 
 
 def graph_of_mask(n: int, mask: int) -> Graph:
-    edges = []
-    m = mask
-    while m:
-        b = (m & -m).bit_length() - 1
-        edges.append(pair_of_bit(b))
-        m &= m - 1
-    return Graph(n, edges)
+    if not 0 <= mask < 1 << pair_count(n):
+        raise ValueError(f"mask {mask} out of range for order {n}")
+    return Graph.from_rows(_rows_of_mask(n, mask))
 
 
 def all_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:

@@ -30,7 +30,10 @@ for a word w with interlace graph H and digraph D,
 
     x q(H; 1+x) = r(D; x),    q(H; x) = m(D; x),
 
-and in particular q(H; 1) is the number of Euler circuits of D.
+and in particular q(H; 1) is the number of Euler circuits of D.  The
+circuits of a transition system, the anti-circuits and the free loops of
+a vertex resolution are all cycles of one successor list, read by one
+walk (``_cycles``).
 
 One caution on words versus circuits: an Euler circuit is a cyclic
 sequence of *arcs*, and distinct circuits can visit vertices in the same
@@ -467,6 +470,22 @@ def transition_system_count(d: BalancedDigraph) -> int:
     return count
 
 
+def _cycles(succ, items: Iterable[int]) -> list[tuple[int, ...]]:
+    """The cycles of ``succ`` (a list or dict) through ``items``, which it
+    maps onto themselves, each read from its least item, sorted by it."""
+    seen, cycles = set(), []
+    for start in sorted(items):
+        if start not in seen:
+            cyc = [start]
+            e = succ[start]
+            while e != start:
+                cyc.append(e)
+                e = succ[e]
+            seen.update(cyc)
+            cycles.append(tuple(cyc))
+    return cycles
+
+
 def circuit_partition_of(
     d: BalancedDigraph, ts: TransitionSystem
 ) -> CircuitPartition:
@@ -478,19 +497,7 @@ def circuit_partition_of(
         outs = d.out_arcs(v)
         for i, e in enumerate(d.in_arcs(v)):
             nxt[e] = outs[perm[i]]
-    unseen = set(range(len(d.arcs)))
-    circuits = []
-    while unseen:
-        start = min(unseen)
-        cyc = [start]
-        unseen.discard(start)
-        e = nxt[start]
-        while e != start:
-            cyc.append(e)
-            unseen.discard(e)
-            e = nxt[e]
-        circuits.append(tuple(cyc))
-    return CircuitPartition(tuple(circuits), d.free_loops)
+    return CircuitPartition(tuple(_cycles(nxt, range(len(d.arcs)))), d.free_loops)
 
 
 def _plain_changes(k: int) -> list[int]:
@@ -563,14 +570,7 @@ def circuit_partition_polynomial(
             nxt[e] = f
         if len(ins) > 1:
             digits.append([(ins[i], ins[i + 1]) for i in _plain_changes(len(ins))])
-    count = 0
-    unseen = set(range(len(d.arcs)))
-    while unseen:
-        count += 1
-        e = nxt[unseen.pop()]
-        while e in unseen:
-            unseen.discard(e)
-            e = nxt[e]
+    count = len(_cycles(nxt, range(len(d.arcs))))
     hist = [0] * (len(d.arcs) + 1)
     hist[count] = 1
     for e1, e2 in _gray_steps(digits):
@@ -692,36 +692,24 @@ def anti_circuit_count(d: BalancedDigraph) -> int:
     An anti-circuit is a closed walk whose consecutive arcs have opposite
     orientations: arriving at a vertex along one in-arc, it leaves
     backwards along the *other* in-arc, and symmetrically for out-arcs.
-    Every 2-in/2-out digraph decomposes uniquely into anti-circuits; each
-    is found twice (once per traversal direction), as an arc set.
+    Every 2-in/2-out digraph decomposes uniquely into anti-circuits.  With
+    states 2e + FORWARD (at head(e)) and 2e + BACKWARD (at tail(e)), they
+    are the cycles of one successor list, each read twice: every arc has
+    one head link and one tail link and an anti-circuit alternates them,
+    so it has even length, and its two traversals are distinct cycles (a
+    cycle that is its own reverse would step from an arc to itself).
     """
     if not d.is_two_in_two_out:
         raise ValueError("anti-circuits are defined for 2-in/2-out digraphs")
     if d.free_loops:
         raise ValueError("free loops are not part of anti-circuit decompositions")
-
-    def step(state):
-        e, direction = state
-        if direction == FORWARD:  # arrived at head(e) along e
-            i1, i2 = d.in_arcs(d.arcs[e][1])
-            return (i2 if e == i1 else i1, BACKWARD)
-        o1, o2 = d.out_arcs(d.arcs[e][0])  # arrived at tail(e) against e
-        return (o2 if e == o1 else o1, FORWARD)
-
-    unseen = {(e, dr) for e in range(len(d.arcs)) for dr in (FORWARD, BACKWARD)}
-    arc_sets = set()
-    while unseen:
-        start = min(unseen)
-        cur = start
-        arcs = set()
-        while True:
-            unseen.discard(cur)
-            arcs.add(cur[0])
-            cur = step(cur)
-            if cur == start:
-                break
-        arc_sets.add(frozenset(arcs))
-    return len(arc_sets)
+    succ = [0] * (2 * len(d.arcs))
+    for (i1, i2), (o1, o2) in zip(d._in_lists, d._out_lists):
+        succ[2 * i1 + FORWARD] = 2 * i2 + BACKWARD
+        succ[2 * i2 + FORWARD] = 2 * i1 + BACKWARD
+        succ[2 * o1 + BACKWARD] = 2 * o2 + FORWARD
+        succ[2 * o2 + BACKWARD] = 2 * o1 + FORWARD
+    return len(_cycles(succ, range(len(succ)))) // 2
 
 
 # -- vertex resolution (the circuit-partition recursion step) ---------------
@@ -736,48 +724,29 @@ def resolve_vertex(
     loops at v becomes a free loop.  Circuit partitions satisfy
     r(D) = sum of r over the resolutions at any one vertex.
     """
-    in_list = d.in_arcs(v)
-    out_list = d.out_arcs(v)
+    if not 0 <= v < d.order:
+        raise ValueError(f"vertex {v} out of range")
+    in_list, out_list = d.in_arcs(v), d.out_arcs(v)
     if sorted(pairing) != list(range(len(in_list))):
         raise ValueError("pairing must be a permutation of the arc ends")
     follow = {in_list[i]: out_list[p] for i, p in enumerate(pairing)}
+    loops = set(in_list) & set(out_list)
     arcs = []
-    free = d.free_loops
-    consumed = set(follow) | set(follow.values())
-    # walk chains entering v from outside
+    # walk chains entering v from outside, taking the loops they pass
     for e in in_list:
         tail = d.arcs[e][0]
         if tail == v:
             continue
         cur = follow[e]
-        while d.arcs[cur][1] == v:  # still a loop at v, keep chaining
+        while cur in loops:
+            loops.discard(cur)
             cur = follow[cur]
         arcs.append((tail, d.arcs[cur][1]))
-    # cycles consisting purely of loops at v
-    loops = [e for e in consumed if d.arcs[e] == (v, v)]
-    unseen = set(loops)
-    for e in loops:
-        if e not in unseen:
-            continue
-        cur = e
-        pure = True
-        while True:
-            unseen.discard(cur)
-            cur = follow[cur]
-            if d.arcs[cur] != (v, v):
-                pure = False
-            if cur == e:
-                break
-            if not pure:
-                break
-        if pure:
-            free += 1
+    # the loops left over are closed under follow: each cycle is a free loop
+    free = d.free_loops + len(_cycles(follow, loops))
     # arcs not touching v survive unchanged, with v compacted away
-    for e, (t, h) in enumerate(d.arcs):
-        if t != v and h != v:
-            arcs.append((t, h))
-    remap = lambda u: u - (u > v)
-    arcs = [(remap(t), remap(h)) for t, h in arcs]
+    arcs += [(t, h) for t, h in d.arcs if v not in (t, h)]
+    arcs = [(t - (t > v), h - (h > v)) for t, h in arcs]
     return BalancedDigraph(d.order - 1, arcs, free)
 
 

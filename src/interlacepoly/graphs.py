@@ -20,6 +20,8 @@ Pivot, vertex deletion, induced subgraphs and components are each written
 once, on bare adjacency rows (``_pivot_rows``, ``_delete_rows``,
 ``_induced_rows``, ``_row_components``); the recursive engine calls those
 directly, and the Graph functions validate their arguments and wrap them.
+The pair mask (bit C(j,2) + i per edge ij, i < j) is written once too, in
+``_mask_of_rows`` and ``_rows_of_mask``; a graph6 body is that mask.
 """
 
 from __future__ import annotations
@@ -467,11 +469,30 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- graph6 format --------------------------------------------------------
+# -- pair masks and graph6 -----------------------------------------------
 #
-# Standard ASCII graph6: N(n) followed by the upper triangle of the
-# adjacency matrix read column by column (x_{0,1}, x_{0,2}, x_{1,2},
-# x_{0,3}, ...), packed big-endian into 6-bit groups, each group + 63.
+# Pair-mask bits run down the columns of the upper triangle (x_{0,1}, x_{0,2},
+# x_{1,2}, ...); graph6 is N(n), then those bits in 6-bit groups, each + 63.
+
+
+def _mask_of_rows(rows: Sequence[int]) -> int:
+    """The pair mask of the graph with these adjacency rows."""
+    mask = j = 0  # row j's bits below j go to C(j,2) + i
+    for r in rows:
+        mask |= (r & (1 << j) - 1) << (j * (j - 1) >> 1)
+        j += 1
+    return mask
+
+
+def _rows_of_mask(n: int, mask: int) -> list[int]:
+    """The adjacency rows of the order-n graph with this pair mask."""
+    rows = [0] * n
+    for j in range(1, n):
+        low = rows[j] = mask >> (j * (j - 1) >> 1) & (1 << j) - 1
+        while low:
+            rows[(low & -low).bit_length() - 1] |= 1 << j
+            low &= low - 1
+    return rows
 
 
 def _graph6_size_bytes(n: int) -> bytes:
@@ -482,18 +503,10 @@ def _graph6_size_bytes(n: int) -> bytes:
 
 
 def to_graph6(g: Graph) -> str:
-    bits = []
-    for j in range(1, g.n):
-        col = g.rows[j]
-        bits.extend((col >> i) & 1 for i in range(j))
-    data = bytearray(_graph6_size_bytes(g.n))
-    for k in range(0, len(bits), 6):
-        group = 0
-        for b in bits[k : k + 6]:
-            group = group << 1 | b
-        group <<= max(0, 6 - len(bits[k : k + 6]))
-        data.append(group + 63)
-    return data.decode("ascii")
+    width = -(-(g.n * (g.n - 1) // 2) // 6) * 6  # C(n,2) bits, whole groups
+    bits = f"{_mask_of_rows(g.rows):0{width}b}"[::-1]  # lowest bit first
+    body = bytes(int(bits[k : k + 6], 2) + 63 for k in range(0, width, 6))
+    return (_graph6_size_bytes(g.n) + body).decode("ascii")
 
 
 def from_graph6(s: str) -> Graph:
@@ -515,18 +528,8 @@ def from_graph6(s: str) -> Graph:
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise ValueError("graph6 body has wrong length")
-    bits = []
     for byte in body:
         if not 63 <= byte <= 126:
             raise ValueError(f"invalid graph6 byte {byte}")
-        group = byte - 63
-        bits.extend((group >> k) & 1 for k in range(5, -1, -1))
-    rows = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
-    return Graph.from_rows(rows)
+    bits = "".join(f"{byte - 63:06b}" for byte in body)[:nbits]
+    return Graph.from_rows(_rows_of_mask(n, int(bits[::-1] or "0", 2)))

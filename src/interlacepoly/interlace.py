@@ -50,6 +50,7 @@ from .graphs import (
     TooLargeError,
     _delete_rows,
     _induced_rows,
+    _mask_of_rows,
     _pivot_rows,
     _row_components,
     complete_graph,
@@ -106,11 +107,7 @@ def _q_rows(rows: tuple[int, ...], memo: MemoCache, leaves: Sequence = ()) -> in
     over the components, where an isolated vertex gives x."""
     k = len(rows)
     if k < len(leaves):
-        mask = j = 0  # row j's bits below j go to pair_index(i, j) = C(j,2) + i
-        for r in rows:
-            mask |= (r & (1 << j) - 1) << (j * (j - 1) >> 1)
-            j += 1
-        return leaves[k][mask]
+        return leaves[k][_mask_of_rows(rows)]
     full, isolated, res = (1 << k) - 1, 0, 1
     for comp in _row_components(rows):
         if not comp & (comp - 1):

@@ -477,39 +477,44 @@ def _orbit_checks_for_order(
     }
     q1_of_mask = table.evaluate(n, 1)
 
-    # pass 1: group canonical words by digraph; compute interlace masks
+    # pass 1: group canonical words by digraph
     groups: dict[bytes, list[tuple[int, ...]]] = {}
-    hmask: dict[tuple[int, ...], int] = {}
     for w in canonical_word_tuples(n):
         arcs = sorted((w[i], w[(i + 1) % len(w)]) for i in range(len(w)))
         dkey = bytes(v for arc in arcs for v in arc)
         groups.setdefault(dkey, []).append(w)
-        h = 0
-        for a, b, _, _, _, _ in _interlaced_pairs(*_occurrences(w)):
-            h |= 1 << en.pair_index(a, b)
-        hmask[w] = h
 
-    # pass 2: per word, transpositions preserve the group and the
-    # interlace graphs commute with pivot-plus-swap (exhaustive)
-    group_of = {w: dk for dk, ws in groups.items() for w in ws}
-    for w, dk in group_of.items():
-        h = hmask[w]
-        for a, b, i, j, k, l in _interlaced_pairs(*_occurrences(w)):
-            t = _canonical_rotation(_transpose_slice(w, i + 1, j, k + 1, l))
-            report.count(2)
-            if group_of.get(t) != dk:
-                report.record(_word_text(w), "transposition left the digraph")
-            if hmask[t] != int(swap_pivot[(a, b)][h]):
-                report.record(
-                    _word_text(w), f"H(transpose {a},{b}) != swapped pivot"
-                )
+    def hmask(pairs) -> int:
+        return sum(1 << en.pair_index(a, b) for a, b, *_ in pairs)
+
+    # pass 2: per digraph, each word's interlaced pairs and H mask once;
+    # transpositions keep the digraph, and H commutes with pivot-plus-swap
+    hset_of_group: dict[bytes, frozenset[int]] = {}
+    rep_hmask: dict[bytes, int] = {}
+    for dk, words in groups.items():
+        pairs_of = {w: _interlaced_pairs(*_occurrences(w)) for w in words}
+        h_of = {w: hmask(pairs) for w, pairs in pairs_of.items()}
+        for w, h in h_of.items():
+            for a, b, i, j, k, l in pairs_of[w]:
+                t = _canonical_rotation(_transpose_slice(w, i + 1, j, k + 1, l))
+                report.count(2)
+                ht = h_of.get(t)
+                if ht is None:
+                    report.record(_word_text(w), "transposition left the digraph")
+                    ht = hmask(_interlaced_pairs(*_occurrences(t)))
+                if ht != int(swap_pivot[(a, b)][h]):
+                    report.record(
+                        _word_text(w), f"H(transpose {a},{b}) != swapped pivot"
+                    )
+        hset_of_group[dk] = frozenset(h_of.values())
+        rep_hmask[dk] = h_of[words[0]]
 
     # pass 3: per digraph, the circuit orbit is everything
     for dkey, words in groups.items():
         rep = words[0]
         best = _best_cofactor(n, zip(rep, rep[1:] + rep[:1]))
         orbit = _circuit_orbit(rep)
-        q1 = int(q1_of_mask[hmask[rep]])
+        q1 = int(q1_of_mask[rep_hmask[dkey]])
         report.count(3)
         if len(orbit) != best:
             report.record(_word_text(rep), "circuit orbit size != BEST count")
@@ -522,9 +527,6 @@ def _orbit_checks_for_order(
             report.record(_word_text(rep), "circuit orbit words != digraph's words")
 
     # pass 4: interlace-graph sets and digraph sets partition each other
-    hset_of_group: dict[bytes, frozenset[int]] = {
-        dk: frozenset(hmask[w] for w in ws) for dk, ws in groups.items()
-    }
     groups_of_h: dict[int, set[bytes]] = {}
     for dk, hs in hset_of_group.items():
         for h in hs:

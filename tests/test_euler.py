@@ -146,6 +146,12 @@ def test_circuit_partition_counts_1212():
     )
     assert counts == [1, 1, 2, 2]
     assert circuit_partition_polynomial(d) == poly(0, 2, 2)
+    # every circuit starts at its least arc, and the circuits are sorted by it
+    for dg in (d, loops_digraph(4), digraph_from_word(W("1 2 3 1 3 2 4 4"))):
+        for ts in transition_systems(dg):
+            circuits = circuit_partition_of(dg, ts).circuits
+            starts = [c[0] for c in circuits]
+            assert starts == [min(c) for c in circuits] == sorted(starts)
 
 
 def _reference_r(d):
@@ -362,6 +368,11 @@ def test_resolution_recursion():
     assert circuit_partition_polynomial(resolve_vertex(d, 0, (0, 1))) + (
         circuit_partition_polynomial(resolve_vertex(d, 0, (1, 0)))
     ) == poly(0, 1, 1)
+    # a vertex outside the digraph, negative indices included, is rejected
+    d = digraph_from_word(W("1 2 3 1 2 3"))
+    for v in (3, -1):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            resolve_vertex(d, v, (0, 1))
 
 
 def test_resolution_recursion_general_degrees():

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from interlacepoly import enumeration as en
+from interlacepoly import suites
+from interlacepoly.euler import all_double_occurrence_words, interlace_graph
 from interlacepoly.graphs import Graph, TooLargeError, component_masks, induced_subgraph
 from interlacepoly.polynomials import IntPolynomial
 from interlacepoly.suites import (
@@ -46,6 +48,23 @@ def test_orbit_suite_small_scale_passes():
     assert rep.passed and rep.checked == 97961
     with pytest.raises(TooLargeError):
         run_orbit_suite(max_symbols=en.TABLE_MAX_ORDER + 1)
+
+
+def test_orbit_suite_checks_the_interlace_graph_of_a_stray_word(monkeypatch):
+    # a faulty transposition that always lands on the edgeless word
+    # 1 1 2 2 ..., outside the digraph of every word with an interlaced
+    # pair, while the swapped pivot on ab keeps the edge ab: each
+    # transposition is recorded as a stray and again for its interlace graph
+    monkeypatch.setattr(suites, "_transpose_slice", lambda s, *_: tuple(sorted(s)))
+    rep = run_orbit_suite(max_symbols=4)
+    details = [v["detail"] for v in rep.violations]
+    pairs = sum(
+        interlace_graph(w).edge_count
+        for n in range(1, 5)
+        for w in all_double_occurrence_words(n)
+    )
+    assert details.count("transposition left the digraph") == pairs > 0
+    assert sum(d.startswith("H(transpose") for d in details) == pairs
 
 
 def test_extremal_suite_known_two_term_counterexamples():
