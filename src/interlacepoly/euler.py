@@ -303,14 +303,17 @@ def circuit_interlace_graphs(w: DoubleOccurrenceWord) -> set[Graph]:
     )
 
 
-def _circuit_orbit(word: tuple[int, ...]) -> set[tuple[int, ...]]:
+def _circuit_orbit(word: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Euler circuits of the digraph of a word tuple, as tuples of arc
     ids starting at arc 0 (arc e runs from word[e] to word[e+1]):
     the closure of the word's own circuit under arc-level transpositions.
-    The visit word of a circuit c is word gathered along c."""
+    Each circuit maps to its visit word, word gathered along it, which
+    the closure reads once per circuit."""
+    visits = {}
 
     def step(c):
-        first, second = _occurrences([word[e] for e in c])
+        visits[c] = v = tuple(map(word.__getitem__, c))
+        first, second = _occurrences(v)
         for _, _, i, j, k, l in _interlaced_pairs(first, second):
             t = _transpose_slice(c, i, j, k, l)
             if t[0]:  # arc 0 moved, which happens only when i == 0
@@ -318,7 +321,8 @@ def _circuit_orbit(word: tuple[int, ...]) -> set[tuple[int, ...]]:
                 t = t[z:] + t[:z]
             yield t
 
-    return _closure(tuple(range(len(word))), step, CIRCUIT_ORBIT_MAX_SIZE)
+    _closure(tuple(range(len(word))), step, CIRCUIT_ORBIT_MAX_SIZE)
+    return visits
 
 
 def circuit_transposition_orbit(w: DoubleOccurrenceWord) -> set[tuple[int, ...]]:
@@ -328,7 +332,7 @@ def circuit_transposition_orbit(w: DoubleOccurrenceWord) -> set[tuple[int, ...]]
     (they form a single orbit), so its size equals the BEST count even
     when parallel arcs make several circuits share a visit word.
     """
-    return _circuit_orbit(w.symbols)
+    return set(_circuit_orbit(w.symbols))
 
 
 # -- balanced digraphs ------------------------------------------------------

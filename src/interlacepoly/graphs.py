@@ -515,10 +515,15 @@ def from_graph6(s: str) -> Graph:
         raw = raw[10:]
     if not raw:
         raise ValueError("empty graph6 input")
+    for byte in raw:
+        if not 63 <= byte <= 126:
+            raise ValueError(f"invalid graph6 byte {byte}")
     if raw[0] == 126:
         if len(raw) < 4 or raw[1] == 126:
             raise ValueError("unsupported graph6 size encoding")
         n = (raw[1] - 63) << 12 | (raw[2] - 63) << 6 | (raw[3] - 63)
+        if n < 63:
+            raise ValueError(f"graph6 order {n} needs the one-byte size form")
         body = raw[4:]
     else:
         n = raw[0] - 63
@@ -528,8 +533,7 @@ def from_graph6(s: str) -> Graph:
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise ValueError("graph6 body has wrong length")
-    for byte in body:
-        if not 63 <= byte <= 126:
-            raise ValueError(f"invalid graph6 byte {byte}")
-    bits = "".join(f"{byte - 63:06b}" for byte in body)[:nbits]
-    return Graph.from_rows(_rows_of_mask(n, int(bits[::-1] or "0", 2)))
+    bits = "".join(f"{byte - 63:06b}" for byte in body)
+    if "1" in bits[nbits:]:
+        raise ValueError("graph6 padding bits are not zero")
+    return Graph.from_rows(_rows_of_mask(n, int(bits[:nbits][::-1] or "0", 2)))

@@ -67,8 +67,10 @@ class VerificationReport:
     ``violations`` is empty exactly when the suite passed.  Each entry
     carries the instance encoding under the key "graph6" (a graph6 string
     for graph instances, the word or digraph text for word instances) and
-    a human-readable detail.  Violation storage is capped per sub-check;
-    the cap entry states how many more there were.
+    a human-readable detail.  Every check passes through one of two paths:
+    ``check`` counts one instance and records it if it failed, so each
+    failure is kept; ``record_mask_failures`` counts a mask array and caps
+    its stored failures, the cap entry stating how many more there were.
     """
 
     suite: str
@@ -94,8 +96,19 @@ class VerificationReport:
 
     # -- recording helpers ------------------------------------------------
 
-    def count(self, instances: int) -> None:
-        self.checked += instances
+    def check(
+        self, ok: bool, instance: Graph | tuple[int, ...] | str, detail: str
+    ) -> None:
+        """Count one instance; record it if not ``ok``.  Only a failure is
+        written out: a Graph as graph6, a word tuple as its symbols
+        numbered from 1, a string as given."""
+        self.checked += 1
+        if not ok:
+            if isinstance(instance, Graph):
+                instance = to_graph6(instance)
+            elif isinstance(instance, tuple):
+                instance = " ".join(str(s + 1) for s in instance)
+            self.record(instance, detail)
 
     def record(self, instance: str, detail: str) -> None:
         self.violations.append({"graph6": instance, "detail": detail})
@@ -104,7 +117,7 @@ class VerificationReport:
         self, n: int, masks: np.ndarray, ok: np.ndarray, detail: str
     ) -> None:
         """Record mask-encoded graph instances where ``ok`` is False."""
-        self.count(len(masks))
+        self.checked += len(masks)
         if ok.all():
             return
         bad = np.flatnonzero(~ok)
@@ -290,12 +303,8 @@ def _identity_tree_checks(report: VerificationReport, max_order: int = 9) -> Non
     cache: dict = {}
     for n in range(1, max_order + 1):
         for tree in en.free_trees(n):
-            q = interlace_polynomial(tree, cache)
-            report.count(1)
-            if q.degree != n - matching_number(tree):
-                report.record(
-                    to_graph6(tree), "tree degree != order - matching number"
-                )
+            ok = interlace_polynomial(tree, cache).degree == n - matching_number(tree)
+            report.check(ok, tree, "tree degree != order - matching number")
 
 
 def _identity_calculus_checks(
@@ -326,19 +335,17 @@ def _identity_calculus_checks(
         qg = interlace_polynomial(g, cache)
         qh = interlace_polynomial(rotate(g, u, v), cache)
         for x0 in (1, 2, 3):
-            report.count(1)
-            if qg.evaluate(x0) > qh.evaluate(x0):
-                report.record(to_graph6(g), f"rotation inequality fails at x={x0}")
+            ok = qg.evaluate(x0) <= qh.evaluate(x0)
+            report.check(ok, g, f"rotation inequality fails at x={x0}")
 
     for _ in range(120):
         t = rand_graph(rng.randrange(1, 5))
         sizes = [rng.randrange(1, 4) for _ in range(t.n)]
         solid = solid_graph(t, sizes)
-        report.count(1)
-        if interlace_polynomial(solid, cache) != clique_substitution_polynomial(
+        ok = interlace_polynomial(solid, cache) == clique_substitution_polynomial(
             interlace_polynomial(t, cache), solid.n - t.n
-        ):
-            report.record(to_graph6(t), "clique substitution scaling fails")
+        )
+        report.check(ok, t, "clique substitution scaling fails")
 
         g = rand_graph(rng.randrange(1, 7))
         a = rng.randrange(g.n)
@@ -346,31 +353,24 @@ def _identity_calculus_checks(
             g, [edgeless_graph(2 if v == a else 1) for v in range(g.n)]
         )
         ga, _ = delete_vertex(g, a)
-        report.count(1)
-        if interlace_polynomial(dup, cache) != vertex_duplication_polynomial(
+        ok = interlace_polynomial(dup, cache) == vertex_duplication_polynomial(
             interlace_polynomial(g, cache), interlace_polynomial(ga, cache)
-        ):
-            report.record(to_graph6(g), "vertex duplication formula fails")
+        )
+        report.check(ok, g, "vertex duplication formula fails")
 
         h = rand_graph(rng.randrange(1, 5))
         ks = [rng.randrange(1, 4) for _ in range(h.n)]
-        report.count(1)
-        if vertex_multiplication_polynomial(h, ks, cache) != interlace_polynomial(
+        ok = vertex_multiplication_polynomial(h, ks, cache) == interlace_polynomial(
             thick_graph(h, ks), cache
-        ):
-            report.record(to_graph6(h), "vertex multiplication expansion fails")
+        )
+        report.check(ok, h, "vertex multiplication expansion fails")
 
     # two different order-9 trees sharing one polynomial
     t1 = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7), (4, 8)])
     t2 = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 7), (4, 8)])
     expected = IntPolynomial((0, 2, 9, 17, 13, 4))
-    report.count(1)
-    if not (
-        interlace_polynomial(t1, cache)
-        == interlace_polynomial(t2, cache)
-        == expected
-    ):
-        report.record(to_graph6(t1), "order-9 tree pair regression value")
+    q1, q2 = (interlace_polynomial(t, cache) for t in (t1, t2))
+    report.check(q1 == q2 == expected, t1, "order-9 tree pair regression value")
 
 
 def _word_corpus(word_samples: int, seed: int) -> list[DoubleOccurrenceWord]:
@@ -400,43 +400,29 @@ def _identity_word_checks(
         d = digraph_from_word(w)
         q = interlace_polynomial(h, cache)
         r = circuit_partition_polynomial(d)
-        report.count(1)
-        if q.shift_argument(1).mul_x() != r:
-            report.record(wtext, "x q(H;1+x) != r(D;x)")
-        report.count(1)
-        if _martin_from_circuit_partition(r) != q:
-            report.record(wtext, "q(H) != m(D)")
-        report.count(1)
-        if circuit_coeffs_from_interlace(list(q.coeffs)) != list(r.coeffs):
-            report.record(wtext, "coefficient transform q->r mismatch")
-        report.count(1)
-        if interlace_coeffs_from_circuit(list(r.coeffs)) != list(q.coeffs):
-            report.record(wtext, "coefficient transform r->q mismatch")
-        report.count(1)
+        report.check(q.shift_argument(1).mul_x() == r, wtext, "x q(H;1+x) != r(D;x)")
+        report.check(_martin_from_circuit_partition(r) == q, wtext, "q(H) != m(D)")
+        ok = circuit_coeffs_from_interlace(list(q.coeffs)) == list(r.coeffs)
+        report.check(ok, wtext, "coefficient transform q->r mismatch")
+        ok = interlace_coeffs_from_circuit(list(r.coeffs)) == list(q.coeffs)
+        report.check(ok, wtext, "coefficient transform r->q mismatch")
         brute = len(euler_circuits_brute(d))
-        best = euler_circuit_count_best(d)
-        if not (brute == best == q.evaluate(1) == r.coefficient(1)):
-            report.record(wtext, "Euler circuit counts disagree")
-        report.count(1)
-        if r.evaluate(1) != 2**w.n:
-            report.record(wtext, "sum of r_k != 2^order")
-        report.count(1)
+        ok = brute == euler_circuit_count_best(d) == q.evaluate(1) == r.coefficient(1)
+        report.check(ok, wtext, "Euler circuit counts disagree")
+        report.check(r.evaluate(1) == 2**w.n, wtext, "sum of r_k != 2^order")
         a = anti_circuit_count(d)
-        if r.evaluate(-2) != (-1) ** (w.n + a) * 2**a:
-            report.record(wtext, "r(D;-2) != (-1)^(n+a) 2^a")
+        ok = r.evaluate(-2) == (-1) ** (w.n + a) * 2**a
+        report.check(ok, wtext, "r(D;-2) != (-1)^(n+a) 2^a")
         # resolving any one vertex splits r into the two resolutions
-        report.count(1)
         r0 = circuit_partition_polynomial(resolve_vertex(d, 0, (0, 1)))
         r1 = circuit_partition_polynomial(resolve_vertex(d, 0, (1, 0)))
-        if r0 + r1 != r:
-            report.record(wtext, "r != sum of the two vertex resolutions")
+        report.check(r0 + r1 == r, wtext, "r != sum of the two vertex resolutions")
         # transposition preserves the digraph
         for x in range(w.n):
             for y in range(x + 1, w.n):
                 if interlaced(w, x, y):
-                    report.count(1)
-                    if digraph_from_word(transpose(w, x, y)) != d:
-                        report.record(wtext, f"transpose({x},{y}) changed digraph")
+                    ok = digraph_from_word(transpose(w, x, y)) == d
+                    report.check(ok, wtext, f"transpose({x},{y}) changed digraph")
 
 
 # ===========================================================================
@@ -497,15 +483,12 @@ def _orbit_checks_for_order(
         for w, h in h_of.items():
             for a, b, i, j, k, l in pairs_of[w]:
                 t = _canonical_rotation(_transpose_slice(w, i + 1, j, k + 1, l))
-                report.count(2)
                 ht = h_of.get(t)
+                report.check(ht is not None, w, "transposition left the digraph")
                 if ht is None:
-                    report.record(_word_text(w), "transposition left the digraph")
                     ht = hmask(_interlaced_pairs(*_occurrences(t)))
-                if ht != int(swap_pivot[(a, b)][h]):
-                    report.record(
-                        _word_text(w), f"H(transpose {a},{b}) != swapped pivot"
-                    )
+                ok = ht == int(swap_pivot[(a, b)][h])
+                report.check(ok, w, f"H(transpose {a},{b}) != swapped pivot")
         hset_of_group[dk] = frozenset(h_of.values())
         rep_hmask[dk] = h_of[words[0]]
 
@@ -515,16 +498,10 @@ def _orbit_checks_for_order(
         best = _best_cofactor(n, zip(rep, rep[1:] + rep[:1]))
         orbit = _circuit_orbit(rep)
         q1 = int(q1_of_mask[rep_hmask[dkey]])
-        report.count(3)
-        if len(orbit) != best:
-            report.record(_word_text(rep), "circuit orbit size != BEST count")
-        if best != q1:
-            report.record(_word_text(rep), "BEST count != q(H;1)")
-        orbit_words = {
-            _canonical_rotation(tuple(map(rep.__getitem__, c))) for c in orbit
-        }
-        if orbit_words != set(words):
-            report.record(_word_text(rep), "circuit orbit words != digraph's words")
+        report.check(len(orbit) == best, rep, "circuit orbit size != BEST count")
+        report.check(best == q1, rep, "BEST count != q(H;1)")
+        ok = set(map(_canonical_rotation, orbit.values())) == set(words)
+        report.check(ok, rep, "circuit orbit words != digraph's words")
 
     # pass 4: interlace-graph sets and digraph sets partition each other
     groups_of_h: dict[int, set[bytes]] = {}
@@ -532,23 +509,13 @@ def _orbit_checks_for_order(
         for h in hs:
             groups_of_h.setdefault(h, set()).add(dk)
     for h, dks in groups_of_h.items():
-        report.count(1)
-        if len({hset_of_group[dk] for dk in dks}) != 1:
-            report.record(
-                f"order-{n} interlace mask {h}",
-                "digraphs sharing an interlace graph differ in H-sets",
-            )
+        ok = len({hset_of_group[dk] for dk in dks}) == 1
+        detail = "digraphs sharing an interlace graph differ in H-sets"
+        report.check(ok, f"order-{n} interlace mask {h}", detail)
     for dk, hs in hset_of_group.items():
-        report.count(1)
-        if len({frozenset(groups_of_h[h]) for h in hs}) != 1:
-            report.record(
-                _word_text(groups[dk][0]),
-                "interlace graphs sharing a digraph differ in D-sets",
-            )
-
-
-def _word_text(w: tuple[int, ...]) -> str:
-    return " ".join(str(s + 1) for s in w)
+        ok = len({frozenset(groups_of_h[h]) for h in hs}) == 1
+        detail = "interlace graphs sharing a digraph differ in D-sets"
+        report.check(ok, groups[dk][0], detail)
 
 
 # ===========================================================================
@@ -597,12 +564,10 @@ def _extremal_checks_for_order(
     connected = comp == 1
 
     # size lower bound and its equality class
+    at = f"order {n}"
     report.record_mask_failures(n, masks, q1 >= edges + 1, "q(1) < e(G)+1")
-    eq_set = {int(m) for m in masks[q1 == edges + 1]}
-    expected = _tripartite_plus_isolated_masks(n)
-    report.count(1)
-    if eq_set != expected:
-        report.record(f"order {n}", "q(1)=e+1 class != tripartite+isolated class")
+    ok = set(masks[q1 == edges + 1].tolist()) == _tripartite_plus_isolated_masks(n)
+    report.check(ok, at, "q(1)=e+1 class != tripartite+isolated class")
 
     # size upper bounds
     fib_bound = fib[edges + 2]
@@ -610,20 +575,17 @@ def _extremal_checks_for_order(
         n, masks[connected], (q1 <= fib_bound)[connected],
         "connected q(1) > F_{m+2}",
     )
-    eq_paths = {int(m) for m in masks[connected & (q1 == fib_bound)]}
-    report.count(1)
-    if n >= 2 and eq_paths != _labeled_path_masks(n):
-        report.record(f"order {n}", "Fibonacci equality class != paths")
+    eq_paths = set(masks[connected & (q1 == fib_bound)].tolist())
+    ok = n < 2 or eq_paths == _labeled_path_masks(n)
+    report.check(ok, at, "Fibonacci equality class != paths")
     split = masks[comp >= 2]
     report.record_mask_failures(
         n, split, q1[split] <= _componentwise_fibonacci_bounds(split, n, fib),
         "q(1) > product of component Fibonacci bounds",
     )
     report.record_mask_failures(n, masks, q1 <= 2**edges, "q(1) > 2^e")
-    eq_match = {int(m) for m in masks[q1 == 2**edges]}
-    report.count(1)
-    if eq_match != _matching_masks(n):
-        report.record(f"order {n}", "q(1)=2^e class != independent-edge class")
+    ok = set(masks[q1 == 2**edges].tolist()) == _matching_masks(n)
+    report.check(ok, at, "q(1)=2^e class != independent-edge class")
 
     # order bounds
     no_iso = isolated == 0
@@ -631,21 +593,16 @@ def _extremal_checks_for_order(
         n, masks[no_iso], (q1 >= n)[no_iso], "q(1) < n without isolated vertices"
     )
     if n >= 2:
-        eq_ord = {int(m) for m in masks[no_iso & (q1 == n)]}
-        expected_ord = _star_masks(n)
+        expected = _star_masks(n)
         if n == 4:
-            expected_ord |= {m for m in _matching_masks(4) if m.bit_count() == 2}
-        report.count(1)
-        if eq_ord != expected_ord:
-            report.record(f"order {n}", "q(1)=n class != stars (+2K_2 at n=4)")
+            expected |= {m for m in _matching_masks(4) if m.bit_count() == 2}
+        ok = set(masks[no_iso & (q1 == n)].tolist()) == expected
+        report.check(ok, at, "q(1)=n class != stars (+2K_2 at n=4)")
     report.record_mask_failures(n, masks, q1 <= 2 ** (n - 1) if n else q1 <= 1,
                                 "q(1) > 2^(n-1)")
     if n >= 1:
-        full = (1 << en.pair_count(n)) - 1
-        eq_top = masks[q1 == 2 ** (n - 1)]
-        report.count(1)
-        if set(map(int, eq_top)) != {full}:
-            report.record(f"order {n}", "q(1)=2^(n-1) attained off the complete graph")
+        ok = set(masks[q1 == 2 ** (n - 1)].tolist()) == {(1 << en.pair_count(n)) - 1}
+        report.check(ok, at, "q(1)=2^(n-1) attained off the complete graph")
 
     # second-maximum value of q(1)
     if n >= 3:
@@ -654,16 +611,13 @@ def _extremal_checks_for_order(
         report.record_mask_failures(
             n, masks, (q1 == top) | (q1 <= second), "q(1) strictly between the two top values"
         )
-        eq_second = {int(m) for m in masks[q1 == second]}
-        report.count(1)
-        if eq_second != _solid_path2_masks(n):
-            report.record(f"order {n}", "second-maximum class != solid P2 graphs")
+        ok = set(masks[q1 == second].tolist()) == _solid_path2_masks(n)
+        report.check(ok, at, "second-maximum class != solid P2 graphs")
 
     # q(1) >= 1 with equality only for edgeless; deg = n only for edgeless
     report.record_mask_failures(n, masks, q1 >= 1, "q(1) < 1")
-    report.count(1)
-    if set(map(int, masks[q1 == 1])) != {0}:
-        report.record(f"order {n}", "q(1)=1 off the edgeless graph")
+    ok = set(masks[q1 == 1].tolist()) == {0}
+    report.check(ok, at, "q(1)=1 off the edgeless graph")
 
     # term-count characterizations.  The two-term classification (one
     # solid path of length 2 or 3, all other components complete) is
@@ -847,19 +801,15 @@ def run_conjecture_suite(
         edges = [e for e in combinations(range(n), 2) if rng.getrandbits(1)]
         g = Graph(n, edges)
         ok_q, ok_r = _unimodal_pair(interlace_polynomial(g, cache))
-        report.count(2)
-        if not ok_q:
-            report.record(to_graph6(g), "q coefficients not unimodal")
-        if not ok_r:
-            report.record(to_graph6(g), "x q(1+x) coefficients not unimodal")
+        report.check(ok_q, g, "q coefficients not unimodal")
+        report.check(ok_r, g, "x q(1+x) coefficients not unimodal")
 
     # the known witness: q of the 3-leaf star is unimodal but not log-concave
     from .interlace import star_polynomial
 
     witness = star_polynomial(3)
-    report.count(1)
-    if is_log_concave(witness) or not unimodality_report(witness).is_unimodal:
-        report.record("K_{1,3}", "expected non-log-concave unimodal witness")
+    ok = not is_log_concave(witness) and unimodality_report(witness).is_unimodal
+    report.check(ok, "K_{1,3}", "expected non-log-concave unimodal witness")
     return _finish(report, t0)
 
 

@@ -202,6 +202,22 @@ def test_usage_errors(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("!" + "?" * 78, "invalid graph6 byte 33"),
+        ("~???", "graph6 order 0 needs the one-byte size form"),
+        ("A`", "graph6 padding bits are not zero"),
+    ],
+)
+def test_poly_rejects_malformed_graph6(tmp_path, capsys, text, message):
+    f = tmp_path / "bad.g6"
+    f.write_text(text + "\n")
+    code, out, err = run_cli(capsys, "poly", str(f), "--format", "graph6")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

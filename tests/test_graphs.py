@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from interlacepoly.graphs import (
     Graph,
@@ -241,6 +243,20 @@ def test_graph6_roundtrip_all_small_and_random():
         for _ in range(5):
             g = random_graph(rng, n, 0.3)
             assert from_graph6(to_graph6(g)) == g
+
+
+@settings(max_examples=500, derandomize=True, database=None)
+@given(st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=12))
+@example("!" + "?" * 78)  # size byte below 63: order -30
+@example("~???")  # long-form order 0, which has a one-byte form
+@example("A`")  # K_2 with a nonzero padding bit; K_2 is "A_"
+def test_graph6_parses_only_canonical_text(text):
+    # malformed text raises ValueError; anything parsed writes back unchanged
+    try:
+        g = from_graph6(text)
+    except ValueError:
+        return
+    assert to_graph6(g) == text.removeprefix(">>graph6<<")
 
 
 def test_graph6_matches_networkx():

@@ -9,7 +9,13 @@ import pytest
 from interlacepoly import enumeration as en
 from interlacepoly import suites
 from interlacepoly.euler import all_double_occurrence_words, interlace_graph
-from interlacepoly.graphs import Graph, TooLargeError, component_masks, induced_subgraph
+from interlacepoly.graphs import (
+    Graph,
+    TooLargeError,
+    component_masks,
+    induced_subgraph,
+    to_graph6,
+)
 from interlacepoly.polynomials import IntPolynomial
 from interlacepoly.suites import (
     VerificationReport,
@@ -179,6 +185,35 @@ def test_report_violation_invariant():
     assert rep.passed
     rep.record("B_", "example violation")
     assert not rep.passed
+
+
+def test_report_check_counts_each_instance_and_writes_only_failures(monkeypatch):
+    rep = VerificationReport("demo", 3)
+    with monkeypatch.context() as m:
+        m.setattr(suites, "to_graph6", lambda g: pytest.fail("passing graph written"))
+        rep.check(True, Graph(2, [(0, 1)]), "never recorded")
+    assert rep.checked == 1 and rep.passed
+    rep.check(False, Graph(2, [(0, 1)]), "graph")
+    rep.check(False, (0, 1, 0, 1), "word")
+    rep.check(False, "order 3", "text")
+    assert rep.checked == 4
+    assert rep.violations == [
+        {"graph6": "A_", "detail": "graph"},
+        {"graph6": "1 2 1 2", "detail": "word"},
+        {"graph6": "order 3", "detail": "text"},
+    ]
+
+
+def test_report_mask_failures_are_counted_and_capped():
+    rep = VerificationReport("demo", 4)
+    masks = np.arange(1 << en.pair_count(4))
+    rep.record_mask_failures(4, masks, masks % 2 == 0, "odd mask")
+    assert rep.checked == 64
+    assert len(rep.violations) == suites.MAX_VIOLATIONS_PER_CHECK + 1 == 21
+    assert rep.violations[0] == {
+        "graph6": to_graph6(en.graph_of_mask(4, 1)), "detail": "odd mask"
+    }
+    assert rep.violations[-1] == {"graph6": "...", "detail": "12 more: odd mask"}
 
 
 def test_loop_digraph_polynomials_are_rising_factorials():
