@@ -42,8 +42,8 @@ print("C_4 edges:", sorted(c4.edges()))
 piv = pivot(c4, 0, 1)
 print("C_4 pivoted on (0,1):", sorted(piv.edges()))
 
-left, _ = delete_vertex(c4, 0)
-right, _ = delete_vertex(piv, 1)
+left = delete_vertex(c4, 0)
+right = delete_vertex(piv, 1)
 q_left = interlace_polynomial(left)
 q_right = interlace_polynomial(right)
 print(f"q(C_4) = q(C_4 - 0) + q(C_4^(01) - 1) = ({q_left}) + ({q_right})")

@@ -132,7 +132,21 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+# the verify flags that not every suite reads: each one's default and readers
+_SUITE_FLAGS = {
+    "words_n_max": (5, ("identities",)),
+    "samples": (500, ("identities", "conjectures")),
+    "seed": (20, ("identities", "conjectures")),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag, (default, readers) in _SUITE_FLAGS.items():
+        name = "--" + flag.replace("_", "-")
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif args.suite not in readers:
+            raise ValueError(f"{name} has no effect on the {args.suite} suite")
     for flag in ("n_max", "words_n_max", "samples"):
         value = getattr(args, flag)
         if value < 0:
@@ -220,16 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--words-n-max",
         type=int,
-        default=5,
         help="word-symbol bound for the orbit laws (identities suite)",
     )
     p.add_argument(
-        "--samples",
-        type=int,
-        default=500,
-        help="random word / random graph sample count",
+        "--samples", type=int, help="random word / random graph sample count"
     )
-    p.add_argument("--seed", type=int, default=20)
+    p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
     return parser

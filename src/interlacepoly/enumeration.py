@@ -67,15 +67,10 @@ def graph_of_mask(n: int, mask: int) -> Graph:
     return Graph.from_rows(_rows_of_mask(n, mask))
 
 
-def all_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
+def all_graphs(n: int) -> Iterator[Graph]:
     """Every labeled graph of order n exactly once, in mask order."""
-    from .graphs import is_connected
-
     for mask in range(1 << pair_count(n)):
-        g = graph_of_mask(n, mask)
-        if connected_only and not is_connected(g):
-            continue
-        yield g
+        yield graph_of_mask(n, mask)
 
 
 # -- vectorized mask operations --------------------------------------------

@@ -117,9 +117,6 @@ class DoubleOccurrenceWord:
         """Number of distinct symbols."""
         return len(self.symbols) // 2
 
-    def occurrences(self, s: int) -> tuple[int, int]:
-        return self._first[s], self._second[s]
-
     def token(self, s: int) -> str:
         return self.labels[s] if self.labels is not None else str(s)
 
@@ -217,7 +214,7 @@ def interlace_graph(w: DoubleOccurrenceWord) -> Graph:
     """The interlace graph H(w): symbols as vertices, edges between
     interlaced pairs.  This is the circle graph of the chord diagram."""
     edges = [(a, b) for a, b, *_ in _interlaced_pairs(w._first, w._second)]
-    return Graph(w.n, edges, w.labels)
+    return Graph(w.n, edges)
 
 
 def transpose(w: DoubleOccurrenceWord, a: int, b: int) -> DoubleOccurrenceWord:
@@ -254,9 +251,7 @@ def _closure(start, step, cap: int) -> set:
     return seen
 
 
-def transposition_orbit(
-    w: DoubleOccurrenceWord, max_symbols: int = TRANSPOSITION_ORBIT_MAX_SYMBOLS
-) -> set[DoubleOccurrenceWord]:
+def transposition_orbit(w: DoubleOccurrenceWord) -> set[DoubleOccurrenceWord]:
     """Closure of {w} under transpositions on all interlaced pairs.
 
     This is the set of vertex-visit words of all Euler circuits of the
@@ -264,8 +259,10 @@ def transposition_orbit(
     count when the digraph has parallel arcs; use
     circuit_transposition_orbit for the circuit-level orbit.
     """
-    if w.n > max_symbols:
-        raise TooLargeError(f"{w.n} symbols exceeds cutoff {max_symbols}")
+    if w.n > TRANSPOSITION_ORBIT_MAX_SYMBOLS:
+        raise TooLargeError(
+            f"{w.n} symbols exceeds cutoff {TRANSPOSITION_ORBIT_MAX_SYMBOLS}"
+        )
 
     def step(cur):
         pairs = _interlaced_pairs(cur._first, cur._second)
@@ -544,9 +541,16 @@ def _gray_steps(digits: list[list]) -> list:
 TRANSITION_ENUMERATION_CUTOFF = 1 << 20
 
 
-def circuit_partition_polynomial(
-    d: BalancedDigraph, max_systems: int = TRANSITION_ENUMERATION_CUTOFF
-) -> IntPolynomial:
+def _check_enumerable(d: BalancedDigraph) -> None:
+    """TooLargeError when d has more transition systems than the cutoff."""
+    total = transition_system_count(d)
+    if total > TRANSITION_ENUMERATION_CUTOFF:
+        raise TooLargeError(
+            f"{total} transition systems exceeds {TRANSITION_ENUMERATION_CUTOFF}"
+        )
+
+
+def circuit_partition_polynomial(d: BalancedDigraph) -> IntPolynomial:
     """r(D; x): coefficient of x^k counts the partitions into k circuits.
 
     Every transition system (product over vertices of (degree)!
@@ -563,9 +567,7 @@ def circuit_partition_polynomial(
     For m loops on one vertex this yields the rising factorial
     x(x+1)...(x+m-1).
     """
-    total = transition_system_count(d)
-    if total > max_systems:
-        raise TooLargeError(f"{total} transition systems exceeds {max_systems}")
+    _check_enumerable(d)
     # start from the identity matching at every vertex
     nxt = [0] * len(d.arcs)
     digits = []  # per vertex of degree >= 2: the in-arc pair of each step
@@ -587,15 +589,13 @@ def circuit_partition_polynomial(
     return IntPolynomial([0] * d.free_loops + hist)
 
 
-def martin_polynomial(
-    d: BalancedDigraph, max_systems: int = TRANSITION_ENUMERATION_CUTOFF
-) -> IntPolynomial:
+def martin_polynomial(d: BalancedDigraph) -> IntPolynomial:
     """m(D; x) = r(D; x-1) / (x-1), exactly.
 
     Needs at least one arc or free loop, so that r has no constant term
     and the division is exact; otherwise NonzeroRemainderError is raised.
     """
-    return _martin_from_circuit_partition(circuit_partition_polynomial(d, max_systems))
+    return _martin_from_circuit_partition(circuit_partition_polynomial(d))
 
 
 def _martin_from_circuit_partition(r: IntPolynomial) -> IntPolynomial:
@@ -608,9 +608,7 @@ def word_of_circuit(d: BalancedDigraph, circuit: Sequence[int]) -> DoubleOccurre
     return DoubleOccurrenceWord(tuple(d.arcs[e][0] for e in circuit))
 
 
-def euler_circuits_brute(
-    d: BalancedDigraph, max_systems: int = TRANSITION_ENUMERATION_CUTOFF
-) -> list[DoubleOccurrenceWord]:
+def euler_circuits_brute(d: BalancedDigraph) -> list[DoubleOccurrenceWord]:
     """All Euler circuits, by exhausting transition systems.
 
     Each single-circuit transition system contributes its vertex-visit
@@ -620,9 +618,7 @@ def euler_circuits_brute(
     """
     if not d.is_connected():
         raise DisconnectedError("Euler circuits need a connected digraph")
-    total = transition_system_count(d)
-    if total > max_systems:
-        raise TooLargeError(f"{total} transition systems exceeds {max_systems}")
+    _check_enumerable(d)
     out = []
     for ts in transition_systems(d):
         part = circuit_partition_of(d, ts)

@@ -1,8 +1,8 @@
-"""Labeled simple undirected graphs with the pivot operator.
+"""Vertex-indexed simple undirected graphs with the pivot operator.
 
-Graphs are immutable values: the order is capped at 64 and the adjacency
-matrix is stored as one machine-word bitmask per vertex, which makes the
-pivot O(n) mask arithmetic and makes graphs cheap to hash for
+A graph is an immutable value, its order and adjacency rows only: the
+order is capped at 64 and each row is one machine-word bitmask, which
+makes the pivot O(n) mask arithmetic and graphs cheap to hash for
 memoization.  All operations are pure functions returning new graphs, so
 values can be shared between concurrent workers without synchronization.
 
@@ -42,20 +42,15 @@ class TooLargeError(ValueError):
 class Graph:
     """Simple undirected graph: no loops, no multiple edges, order <= 64.
 
-    ``rows[v]`` is the neighbor bitmask of vertex v (bit u set iff uv is an
-    edge).  ``labels``, when present, are display names; equality and
-    hashing use only the order and adjacency, because the identities this
-    library verifies are statements about vertex-indexed graphs.
+    A graph is its order ``n`` and its adjacency ``rows``: ``rows[v]`` is
+    the neighbor bitmask of vertex v (bit u set iff uv is an edge).  The
+    identities this library verifies are statements about vertex-indexed
+    graphs, so vertices carry no names.
     """
 
-    __slots__ = ("n", "rows", "labels")
+    __slots__ = ("n", "rows")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]] = (),
-        labels: Sequence[str] | None = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not 0 <= n <= MAX_ORDER:
             raise ValueError(f"order must be in 0..{MAX_ORDER}, got {n}")
         rows = [0] * n
@@ -68,15 +63,12 @@ class Graph:
             rows[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @classmethod
-    def from_rows(
-        cls, rows: Sequence[int], labels: Sequence[str] | None = None
-    ) -> "Graph":
+    def from_rows(cls, rows: Sequence[int]) -> "Graph":
         g = cls.__new__(cls)
         n = len(rows)
         if n > MAX_ORDER:
@@ -94,7 +86,6 @@ class Graph:
                 m &= m - 1
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "rows", tuple(rows))
-        object.__setattr__(g, "labels", tuple(labels) if labels is not None else None)
         return g
 
     # -- queries -------------------------------------------------------
@@ -196,7 +187,7 @@ def pivot(g: Graph, a: int, b: int) -> Graph:
         raise ValueError(f"invalid vertex pair ({a},{b})")
     if not g.has_edge(a, b):
         raise NotAnEdgeError(f"({a},{b}) is not an edge")
-    return Graph.from_rows(_pivot_rows(g.rows, a, b), g.labels)
+    return Graph.from_rows(_pivot_rows(g.rows, a, b))
 
 
 def _pivot_rows(rows: Sequence[int], a: int, b: int) -> list[int]:
@@ -240,7 +231,7 @@ def pivot_brute(g: Graph, a: int, b: int) -> Graph:
             cx, cy = cls(x), cls(y)
             if cx != cy and cx != 4 and cy != 4:
                 edges ^= {frozenset((x, y))}
-    return Graph(g.n, [tuple(e) for e in edges], g.labels)
+    return Graph(g.n, [tuple(e) for e in edges])
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
@@ -255,12 +246,7 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
             r |= 1 << perm[u]
             m &= m - 1
         rows[perm[v]] = r
-    labels = None
-    if g.labels is not None:
-        labels = [""] * g.n
-        for v in range(g.n):
-            labels[perm[v]] = g.labels[v]
-    return Graph.from_rows(rows, labels)
+    return Graph.from_rows(rows)
 
 
 def label_swap(g: Graph, a: int, b: int) -> Graph:
@@ -322,20 +308,11 @@ def _row_components(rows: Sequence[int]) -> list[int]:
     return out
 
 
-def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int | None, ...]]:
-    """Remove v, compacting indices; also return the old->new index map.
-
-    The map has None at position v and the new index everywhere else.
-    """
+def delete_vertex(g: Graph, v: int) -> Graph:
+    """G - v: remove v; each later vertex u becomes u - 1."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    index_map = tuple(
-        None if u == v else (u if u < v else u - 1) for u in range(g.n)
-    )
-    labels = None
-    if g.labels is not None:
-        labels = [l for u, l in enumerate(g.labels) if u != v]
-    return Graph.from_rows(_delete_rows(g.rows, v), labels), index_map
+    return Graph.from_rows(_delete_rows(g.rows, v))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -346,19 +323,14 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     mask = 0
     for v in keep:
         mask |= 1 << v
-    labels = [g.labels[v] for v in keep] if g.labels is not None else None
-    return Graph.from_rows(_induced_rows(g.rows, mask), labels)
+    return Graph.from_rows(_induced_rows(g.rows, mask))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     n = g1.n + g2.n
     if n > MAX_ORDER:
         raise ValueError(f"union order {n} exceeds {MAX_ORDER}")
-    rows = list(g1.rows) + [r << g1.n for r in g2.rows]
-    labels = None
-    if g1.labels is not None and g2.labels is not None:
-        labels = list(g1.labels) + list(g2.labels)
-    return Graph.from_rows(rows, labels)
+    return Graph.from_rows(list(g1.rows) + [r << g1.n for r in g2.rows])
 
 
 def component_masks(g: Graph) -> list[int]:
@@ -438,8 +410,9 @@ def matching_number(g: Graph) -> int:
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
-    Line 1 is "n m"; the next m lines are "u v" with 0-based indices.
-    Blank lines and lines starting with '#' are ignored.
+    Line 1 is "n m"; the next m lines are "u v" with 0-based indices,
+    each pair at most once in either orientation.  Blank lines and lines
+    starting with '#' are ignored.
     """
     lines = [
         ln.strip()
@@ -454,12 +427,15 @@ def parse_edge_list(text: str) -> Graph:
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
-    edges = []
+    edges: dict[tuple[int, int], None] = {}  # a set in input order
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        u, v = int(parts[0]), int(parts[1])
+        if (u, v) in edges or (v, u) in edges:
+            raise ValueError(f"repeated edge {u} {v}")
+        edges[u, v] = None
     return Graph(n, edges)
 
 

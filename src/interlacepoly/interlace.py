@@ -45,6 +45,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import MutableMapping, Sequence
 
+from .enumeration import CoefficientTable
 from .graphs import (
     Graph,
     TooLargeError,
@@ -69,7 +70,6 @@ LEAF_TABLE_MIN_ORDER = 16
 def _leaf_table() -> tuple[list[int], ...]:
     """``leaves[k][mask]``: packed q of every graph of order k <= LEAF_ORDER,
     packed once per distinct coefficient row."""
-    from .enumeration import CoefficientTable  # no numpy import with the engine
     table = CoefficientTable(LEAF_ORDER)
     leaves = []
     for k in range(LEAF_ORDER + 1):

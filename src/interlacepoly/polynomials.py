@@ -78,10 +78,10 @@ class IntPolynomial:
         return cls((0, 1))
 
     @classmethod
-    def monomial(cls, degree: int, coefficient: int = 1) -> "IntPolynomial":
+    def monomial(cls, degree: int) -> "IntPolynomial":
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        return cls((0,) * degree + (coefficient,))
+        return cls((0,) * degree + (1,))
 
     # -- basic queries ------------------------------------------------
 
@@ -102,9 +102,6 @@ class IntPolynomial:
             if c:
                 return i
         return NEG_INF
-
-    def nonzero_term_count(self) -> int:
-        return sum(1 for c in self.coeffs if c)
 
     # -- ring arithmetic ----------------------------------------------
 

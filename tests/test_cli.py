@@ -7,7 +7,9 @@ import pytest
 
 from interlacepoly.cli import main
 from interlacepoly.enumeration import all_graphs
+from interlacepoly.graphs import is_connected
 from interlacepoly.interlace import interlace_polynomial
+from interlacepoly.suites import VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -95,7 +97,7 @@ def test_enumerate_distinct_connected(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "4", "--distinct", "--connected")
     assert code == 0
     census: dict[str, int] = {}
-    for g in all_graphs(4, connected_only=True):
+    for g in filter(is_connected, all_graphs(4)):
         q = str(interlace_polynomial(g))
         census[q] = census.get(q, 0) + 1
     lines = [line.split("\t") for line in out.strip().splitlines()]
@@ -174,6 +176,45 @@ def test_verify_rejects_negative_counts(suite, flag, capsys):
     assert err == f"error: {flag} must be at least 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "suite, flag",
+    [
+        ("extremal", "--seed"),
+        ("extremal", "--samples"),
+        ("extremal", "--words-n-max"),
+        ("conjectures", "--words-n-max"),
+    ],
+)
+def test_verify_rejects_a_flag_the_suite_ignores(suite, flag, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a suite ran before the flag was checked")
+
+    for runner in ("run_extremal_suite", "run_conjecture_suite"):
+        monkeypatch.setattr(f"interlacepoly.cli.{runner}", must_not_run)
+    code, out, err = run_cli(capsys, "verify", suite, "--n-max", "3", flag, "2")
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} has no effect on the {suite} suite\n"
+
+
+def test_verify_defaults_reach_the_suites_that_read_them(capsys, monkeypatch):
+    calls = []
+
+    def fake(**kwargs):
+        calls.append(kwargs)
+        return VerificationReport("fake", 0)
+
+    for runner in ("identity", "orbit", "extremal", "conjecture"):
+        monkeypatch.setattr(f"interlacepoly.cli.run_{runner}_suite", fake)
+    for suite in ("identities", "extremal", "conjectures"):
+        assert run_cli(capsys, "verify", suite)[0] == 0
+    assert calls == [
+        {"n_max": 6, "word_samples": 500, "seed": 20},
+        {"max_symbols": 5},
+        {"n_max": 6},
+        {"n_max": 6, "random_samples": 500, "seed": 20},
+    ]
+
+
 def test_verify_rejects_words_n_max_above_table_cap(capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a suite ran before the flag was checked")
@@ -216,6 +257,14 @@ def test_poly_rejects_malformed_graph6(tmp_path, capsys, text, message):
     code, out, err = run_cli(capsys, "poly", str(f), "--format", "graph6")
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_poly_rejects_a_repeated_edge(tmp_path, capsys):
+    f = tmp_path / "k2.txt"
+    f.write_text("2 2\n0 1\n1 0\n")  # K_2 has 1 edge, not the promised 2
+    code, out, err = run_cli(capsys, "poly", str(f))
+    assert code == 2 and out == ""
+    assert err == "error: repeated edge 1 0\n"
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -4,7 +4,10 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from interlacepoly import euler
 from interlacepoly.euler import (
     TRANSITION_ENUMERATION_CUTOFF,
     BalancedDigraph,
@@ -68,6 +71,33 @@ def test_word_parse_and_render():
     assert w.symbols == (0, 1, 0, 1)
     assert str(w) == "alpha beta alpha beta"
     assert w == DoubleOccurrenceWord((0, 1, 0, 1))
+
+
+_TOKEN = st.text(st.characters(blacklist_categories=("Z", "Cc", "Cs")), min_size=1)
+
+
+@st.composite
+def _word_texts(draw):
+    # a word of <= 5 symbols with arbitrary tokens, or one token off it
+    names = draw(st.lists(_TOKEN, max_size=5, unique=True))
+    tokens = draw(st.permutations(names * 2))
+    defect = draw(st.sampled_from([None, None, "drop", "extra"]))
+    if defect == "drop" and tokens:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    elif defect == "extra":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_TOKEN))
+    return draw(st.sampled_from([" ", "\t", "\n "])).join(tokens)
+
+
+@settings(max_examples=500, derandomize=True, database=None)
+@given(_word_texts() | st.text(max_size=12))
+def test_word_text_round_trips(text):
+    # malformed text raises ValueError; a parsed word reads back unchanged
+    try:
+        w = W(text)
+    except ValueError:
+        return
+    assert W(str(w)) == w and str(W(str(w))) == str(w)
 
 
 def test_interlace_graph_examples():
@@ -206,7 +236,7 @@ def test_gray_walk_matches_per_system_reference():
         assert circuit_partition_polynomial(d) == _reference_r(d), d
 
 
-def test_transition_enumeration_cutoff():
+def test_transition_enumeration_cutoff(monkeypatch):
     assert TRANSITION_ENUMERATION_CUTOFF == 1 << 20
     # the word 0 0 1 1 ... 19 19 has exactly 2^20 systems and is still
     # enumerated; its interlace graph is edgeless, so r = x (1 + x)^20
@@ -219,11 +249,12 @@ def test_transition_enumeration_cutoff():
     d = digraph_from_word(DoubleOccurrenceWord(tuple(i // 2 for i in range(42))))
     with pytest.raises(TooLargeError):
         circuit_partition_polynomial(d)
+    # the cutoff is read at call time: 4 loops on one vertex have 4! systems
+    monkeypatch.setattr(euler, "TRANSITION_ENUMERATION_CUTOFF", 23)
     with pytest.raises(TooLargeError):
-        circuit_partition_polynomial(loops_digraph(4), max_systems=23)
-    assert circuit_partition_polynomial(loops_digraph(4), max_systems=24) == (
-        poly(0, 6, 11, 6, 1)
-    )
+        circuit_partition_polynomial(loops_digraph(4))
+    monkeypatch.setattr(euler, "TRANSITION_ENUMERATION_CUTOFF", 24)
+    assert circuit_partition_polynomial(loops_digraph(4)) == poly(0, 6, 11, 6, 1)
 
 
 def test_circuit_partition_polynomial_loops():
@@ -238,7 +269,7 @@ def test_circuit_partition_polynomial_loops():
         poly(0, 0, 0, 1)
     )
     with pytest.raises(TooLargeError):
-        circuit_partition_polynomial(loops_digraph(10), max_systems=1000)
+        circuit_partition_polynomial(loops_digraph(10))  # 10! > 2^20
 
 
 def test_martin_polynomial():

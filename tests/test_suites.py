@@ -8,7 +8,11 @@ import pytest
 
 from interlacepoly import enumeration as en
 from interlacepoly import suites
-from interlacepoly.euler import all_double_occurrence_words, interlace_graph
+from interlacepoly.euler import (
+    all_double_occurrence_words,
+    canonical_word_tuples,
+    interlace_graph,
+)
 from interlacepoly.graphs import (
     Graph,
     TooLargeError,
@@ -71,6 +75,21 @@ def test_orbit_suite_checks_the_interlace_graph_of_a_stray_word(monkeypatch):
     )
     assert details.count("transposition left the digraph") == pairs > 0
     assert sum(d.startswith("H(transpose") for d in details) == pairs
+
+
+def test_identity_suite_numbers_a_words_symbols_from_1(monkeypatch):
+    # an anti-circuit count that is off by one fails the r(D;-2) check on
+    # every word; the report writes each word as the orbit suite does
+    anti = suites.anti_circuit_count
+    monkeypatch.setattr(suites, "anti_circuit_count", lambda d: anti(d) + 1)
+    rep = run_identity_suite(n_max=1, word_samples=0)
+    recorded = [v["graph6"] for v in rep.violations]
+    assert {v["detail"] for v in rep.violations} == {"r(D;-2) != (-1)^(n+a) 2^a"}
+    assert recorded == [
+        " ".join(str(s + 1) for s in t)
+        for n in range(1, 5)
+        for t in canonical_word_tuples(n)
+    ]
 
 
 def test_extremal_suite_known_two_term_counterexamples():
