@@ -23,8 +23,10 @@ from interlacepoly import (
     euler_circuits_brute,
     interlace_graph,
     interlace_polynomial,
+    label_swap,
     loops_digraph,
     martin_polynomial,
+    pivot,
     transition_systems,
     transpose,
     transposition_orbit,
@@ -94,6 +96,8 @@ print()
 
 t = transpose(w, 0, 1)
 print("transposing on the interlaced pair (1,2):", t)
+print("its interlace graph is the pivot on 12 with 1 and 2 swapped:",
+      interlace_graph(t) == label_swap(pivot(h, 0, 1), 0, 1))
 orbit = transposition_orbit(w)
 print("distinct visit words in the orbit:", len(orbit))
 circuits = circuit_transposition_orbit(w)

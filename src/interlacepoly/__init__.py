@@ -62,9 +62,7 @@ from .euler import (
     DisconnectedError,
     DoubleOccurrenceWord,
     NotInterlacedError,
-    all_double_occurrence_words,
     anti_circuit_count,
-    circuit_interlace_graphs,
     circuit_partition_of,
     circuit_partition_polynomial,
     circuit_transposition_orbit,
@@ -75,7 +73,6 @@ from .euler import (
     interlaced,
     loops_digraph,
     martin_polynomial,
-    pivot_orbit,
     resolve_vertex,
     transition_systems,
     transpose,
@@ -90,7 +87,6 @@ from .polynomials import (
     circuit_coeffs_from_interlace,
     interlace_coeffs_from_circuit,
     is_log_concave,
-    is_signed_power_of_two,
     unimodality_report,
 )
 from .suites import (

@@ -49,7 +49,7 @@ from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, TooLargeError, label_swap, pivot
+from .graphs import Graph, TooLargeError
 from .polynomials import IntPolynomial
 
 FORWARD, BACKWARD = 0, 1
@@ -230,9 +230,7 @@ def transpose(w: DoubleOccurrenceWord, a: int, b: int) -> DoubleOccurrenceWord:
 
 # -- orbits ------------------------------------------------------------------
 
-TRANSPOSITION_ORBIT_MAX_SYMBOLS = 7
-PIVOT_ORBIT_MAX_SIZE = 1 << 20
-# also caps the word orbit, which is never larger than the circuit orbit
+# an orbit holds q(H;1) <= 2^(n-1) circuits, so this binds above 23 symbols
 CIRCUIT_ORBIT_MAX_SIZE = 1 << 22
 
 
@@ -249,55 +247,6 @@ def _closure(start, step, cap: int) -> set:
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
-
-
-def transposition_orbit(w: DoubleOccurrenceWord) -> set[DoubleOccurrenceWord]:
-    """Closure of {w} under transpositions on all interlaced pairs.
-
-    This is the set of vertex-visit words of all Euler circuits of the
-    word's digraph.  Its size can be *smaller* than the Euler circuit
-    count when the digraph has parallel arcs; use
-    circuit_transposition_orbit for the circuit-level orbit.
-    """
-    if w.n > TRANSPOSITION_ORBIT_MAX_SYMBOLS:
-        raise TooLargeError(
-            f"{w.n} symbols exceeds cutoff {TRANSPOSITION_ORBIT_MAX_SYMBOLS}"
-        )
-
-    def step(cur):
-        pairs = _interlaced_pairs(cur._first, cur._second)
-        return (transpose(cur, a, b) for a, b, *_ in pairs)
-
-    return _closure(w, step, CIRCUIT_ORBIT_MAX_SIZE)
-
-
-def pivot_orbit(g: Graph) -> set[Graph]:
-    """Closure of {g} under pivots on all edges (labeled graphs).
-
-    For the interlace graph H of an Euler circuit of a digraph D, this
-    orbit matches the interlace graphs of all circuits of D up to
-    isomorphism, but not as labeled graphs: transposing a circuit on ab
-    mirrors as pivot *followed by swapping a and b*, so the exact labeled
-    set is circuit_interlace_graphs (a pendant edge, for instance,
-    freezes the pure pivot but not the swapped operation).
-    """
-    return _closure(
-        g, lambda h: (pivot(h, a, b) for a, b in h.edges()), PIVOT_ORBIT_MAX_SIZE
-    )
-
-
-def circuit_interlace_graphs(w: DoubleOccurrenceWord) -> set[Graph]:
-    """Labeled interlace graphs of all Euler circuits of the word's digraph.
-
-    Computed without enumerating circuits: transposing on ab turns H into
-    the pivot H^{ab} with a and b swapped, so the set is the closure of
-    {H(w)} under that combined operation.
-    """
-    return _closure(
-        interlace_graph(w),
-        lambda h: (label_swap(pivot(h, a, b), a, b) for a, b in h.edges()),
-        PIVOT_ORBIT_MAX_SIZE,
-    )
 
 
 def _circuit_orbit(word: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -330,6 +279,18 @@ def circuit_transposition_orbit(w: DoubleOccurrenceWord) -> set[tuple[int, ...]]
     when parallel arcs make several circuits share a visit word.
     """
     return set(_circuit_orbit(w.symbols))
+
+
+def transposition_orbit(w: DoubleOccurrenceWord) -> set[DoubleOccurrenceWord]:
+    """The vertex-visit words of all Euler circuits of the word's digraph,
+    in the word's own tokens: the closure of {w} under transpositions on
+    interlaced pairs, read off the circuit orbit.
+
+    It can be *smaller* than the Euler circuit count when the digraph has
+    parallel arcs; circuit_transposition_orbit counts circuits.
+    """
+    visits = _circuit_orbit(w.symbols).values()
+    return {DoubleOccurrenceWord(v, w.labels) for v in visits}
 
 
 # -- balanced digraphs ------------------------------------------------------
@@ -781,8 +742,3 @@ def canonical_word_tuples(n: int) -> Iterator[tuple[int, ...]]:
 
     yield from rec(1)
 
-
-def all_double_occurrence_words(n: int) -> Iterator[DoubleOccurrenceWord]:
-    """All double occurrence words on n symbols, one per cyclic word."""
-    for t in canonical_word_tuples(n):
-        yield DoubleOccurrenceWord(t)

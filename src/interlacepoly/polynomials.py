@@ -131,13 +131,11 @@ class IntPolynomial:
     def scale(self, c: int) -> "IntPolynomial":
         return IntPolynomial(c * a for a in self.coeffs)
 
-    def mul_x(self, k: int = 1) -> "IntPolynomial":
-        """Multiply by x^k (shift all coefficients up by k degrees)."""
-        if k < 0:
-            raise ValueError("k must be >= 0")
+    def mul_x(self) -> "IntPolynomial":
+        """Multiply by x (shift all coefficients up one degree)."""
         if not self.coeffs:
             return self
-        return IntPolynomial((0,) * k + self.coeffs)
+        return IntPolynomial((0,) + self.coeffs)
 
     def evaluate(self, x0: int) -> int:
         """Exact evaluation at an integer point, by Horner's rule."""
@@ -209,10 +207,6 @@ class IntPolynomial:
         """JSON form: coefficients as decimal strings, ascending degree."""
         return {"coeffs": [str(c) for c in self.coeffs]}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "IntPolynomial":
-        return cls(int(c) for c in data["coeffs"])
-
     # -- comparisons ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -270,20 +264,6 @@ def is_log_concave(p: IntPolynomial) -> bool:
     """True if a_k^2 >= a_{k-1} a_{k+1} holds across the whole sequence."""
     c = p.coeffs
     return all(c[k] * c[k] >= c[k - 1] * c[k + 1] for k in range(1, len(c) - 1))
-
-
-def is_signed_power_of_two(v: int):
-    """Decompose v as sign * 2^k; returns (sign, k) or None.
-
-    Zero is not a signed power of two.
-    """
-    if v == 0:
-        return None
-    sign = 1 if v > 0 else -1
-    mag = abs(v)
-    if mag & (mag - 1):
-        return None
-    return sign, mag.bit_length() - 1
 
 
 def circuit_coeffs_from_interlace(a: Sequence[int]) -> list[int]:

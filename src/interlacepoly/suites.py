@@ -44,11 +44,29 @@ from .euler import (
     euler_circuit_count_best,
     euler_circuits_brute,
     interlace_graph,
-    loops_digraph,
+    interlaced,
     resolve_vertex,
+    transpose,
 )
-from .graphs import Graph, TooLargeError, matching_number, to_graph6
-from .interlace import interlace_polynomial
+from .graphs import (
+    Graph,
+    TooLargeError,
+    delete_vertex,
+    edgeless_graph,
+    matching_number,
+    to_graph6,
+)
+from .interlace import (
+    clique_substitution_polynomial,
+    interlace_polynomial,
+    rotate,
+    solid_graph,
+    star_polynomial,
+    substitute,
+    thick_graph,
+    vertex_duplication_polynomial,
+    vertex_multiplication_polynomial,
+)
 from .polynomials import (
     IntPolynomial,
     circuit_coeffs_from_interlace,
@@ -309,17 +327,6 @@ def _identity_tree_checks(report: VerificationReport) -> None:
 
 def _identity_calculus_checks(report: VerificationReport, seed: int) -> None:
     """Rotation inequality and the substitution calculus, randomized."""
-    from .interlace import (
-        clique_substitution_polynomial,
-        rotate,
-        solid_graph,
-        substitute,
-        thick_graph,
-        vertex_duplication_polynomial,
-        vertex_multiplication_polynomial,
-    )
-    from .graphs import delete_vertex, edgeless_graph
-
     rng = random.Random(seed)
     cache: dict = {}
 
@@ -389,8 +396,6 @@ def _word_corpus(word_samples: int, seed: int) -> list[DoubleOccurrenceWord]:
 def _identity_word_checks(
     report: VerificationReport, word_samples: int, seed: int
 ) -> None:
-    from .euler import interlaced, transpose
-
     cache: dict = {}
     for w in _word_corpus(word_samples, seed):
         word = w.symbols  # recorded numbered from 1, as in the orbit suite
@@ -801,8 +806,6 @@ def run_conjecture_suite(
         report.check(ok_r, g, "x q(1+x) coefficients not unimodal")
 
     # the known witness: q of the 3-leaf star is unimodal but not log-concave
-    from .interlace import star_polynomial
-
     witness = star_polynomial(3)
     ok = not is_log_concave(witness) and unimodality_report(witness).is_unimodal
     report.check(ok, "K_{1,3}", "expected non-log-concave unimodal witness")
@@ -815,12 +818,3 @@ def _unimodal_pair(q: IntPolynomial) -> tuple[bool, bool]:
     r = IntPolynomial(circuit_coeffs_from_interlace(list(q.coeffs)))
     return unimodality_report(q).is_unimodal, unimodality_report(r).is_unimodal
 
-
-# ===========================================================================
-# small-scale cross-checks used by the test-suite
-# ===========================================================================
-
-
-def loop_digraph_polynomials(max_loops: int = 8) -> list[IntPolynomial]:
-    """r for 1..max_loops loops on one vertex (rising factorials)."""
-    return [circuit_partition_polynomial(loops_digraph(m)) for m in range(1, max_loops + 1)]

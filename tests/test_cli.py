@@ -63,6 +63,18 @@ def test_euler_orbit(tmp_path, capsys):
     assert len(data["words"]) == 5
 
 
+def test_euler_orbit_above_seven_symbols(tmp_path, capsys):
+    # the digraph of a b ... h a b ... h is a cycle of doubled arcs: its
+    # 2^7 circuits share one visit word, printed in the input's tokens
+    f = tmp_path / "w.txt"
+    f.write_text("a b c d e f g h a b c d e f g h\n")
+    code, out, err = run_cli(capsys, "euler", "orbit", str(f), "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "euler_circuits": 128, "words": ["a b c d e f g h a b c d e f g h"]
+    }
+
+
 @pytest.mark.parametrize("action", ["count", "partitions", "martin", "orbit"])
 def test_euler_empty_word(tmp_path, capsys, action):
     f = tmp_path / "w.txt"

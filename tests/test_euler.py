@@ -14,7 +14,6 @@ from interlacepoly.euler import (
     DisconnectedError,
     DoubleOccurrenceWord,
     NotInterlacedError,
-    all_double_occurrence_words,
     anti_circuit_count,
     canonical_word_tuples,
     circuit_partition_of,
@@ -27,8 +26,6 @@ from interlacepoly.euler import (
     interlaced,
     loops_digraph,
     martin_polynomial,
-    circuit_interlace_graphs,
-    pivot_orbit,
     resolve_vertex,
     transition_system_count,
     transition_systems,
@@ -331,7 +328,7 @@ def test_anti_circuits_and_martin_at_minus_2():
         assert r2 == (-1) ** (w.n + a) * 2**a
 
 
-def test_transposition_orbit():
+def test_transposition_orbit(monkeypatch):
     w = W("1 1 2 2 3 3")
     assert transposition_orbit(w) == {w}
     # word orbit = visit words of the circuit orbit; circuit orbit = BEST count
@@ -343,45 +340,29 @@ def test_transposition_orbit():
         assert len(circuits) == euler_circuit_count_best(d)
         words = {word_of_circuit(d, c) for c in circuits}
         assert transposition_orbit(w) == words
-    with pytest.raises(TooLargeError):
-        transposition_orbit(random_word(rng, 9))
+        # and the closure of {w} under word transpositions, built here
+        closure, todo = {w}, [w]
+        while todo:
+            u = todo.pop()
+            for a, b in interlace_graph(u).edges():
+                t = transpose(u, a, b)
+                if t not in closure:
+                    closure.add(t)
+                    todo.append(t)
+        assert words == closure
+    # one cap, on circuits, serves both orbits: 1 2 3 1 2 3 has 4 circuits
+    # and one visit word
+    w = W("1 2 3 1 2 3")
+    monkeypatch.setattr(euler, "CIRCUIT_ORBIT_MAX_SIZE", 2)
+    for orbit in (transposition_orbit, circuit_transposition_orbit):
+        with pytest.raises(TooLargeError, match="orbit exceeds 2 elements"):
+            orbit(w)
 
 
 def test_word_orbit_can_be_smaller_than_circuit_count():
     w = W("1 2 1 2")
     assert len(transposition_orbit(w)) == 1
     assert len(circuit_transposition_orbit(w)) == 2
-
-
-def _iso_class(g):
-    from itertools import permutations as perms
-
-    from interlacepoly.graphs import relabel
-
-    return min(relabel(g, p).rows for p in perms(range(g.n)))
-
-
-def test_pivot_orbit_and_circuit_interlace_graphs():
-    assert pivot_orbit(edgeless_graph(4)) == {edgeless_graph(4)}
-    rng = random.Random(97)
-    for _ in range(25):
-        w = random_word(rng, rng.randrange(1, 6))
-        d = digraph_from_word(w)
-        circuits = circuit_transposition_orbit(w)
-        h_all = {interlace_graph(word_of_circuit(d, c)) for c in circuits}
-        # the labeled set of circuit interlace graphs is the pivot+swap closure
-        assert circuit_interlace_graphs(w) == h_all
-        # the pure pivot orbit agrees up to isomorphism, not as labeled graphs
-        orbit = pivot_orbit(interlace_graph(w))
-        assert {_iso_class(g) for g in orbit} == {_iso_class(g) for g in h_all}
-
-
-def test_pure_pivot_orbit_differs_from_labeled_circuit_set():
-    # a pendant edge freezes the pure pivot, while transposition does not:
-    # this word's interlace graph is the path 1-3-4 plus isolated vertices
-    w = DoubleOccurrenceWord((0, 0, 1, 4, 3, 2, 2, 4, 1, 3))
-    assert len(pivot_orbit(interlace_graph(w))) == 1
-    assert len(circuit_interlace_graphs(w)) == 3
 
 
 def test_resolution_recursion():
@@ -453,5 +434,3 @@ def test_word_enumeration():
         assert total == factorial(2 * n - 1) // 2 ** (n - 1)
         for w in words:
             assert DoubleOccurrenceWord(w).symbols == w
-    ws = list(all_double_occurrence_words(3))
-    assert len(ws) == len(list(canonical_word_tuples(3)))

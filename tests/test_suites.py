@@ -9,7 +9,7 @@ import pytest
 from interlacepoly import enumeration as en
 from interlacepoly import suites
 from interlacepoly.euler import (
-    all_double_occurrence_words,
+    DoubleOccurrenceWord,
     canonical_word_tuples,
     interlace_graph,
 )
@@ -20,7 +20,6 @@ from interlacepoly.graphs import (
     induced_subgraph,
     to_graph6,
 )
-from interlacepoly.polynomials import IntPolynomial
 from interlacepoly.suites import (
     VerificationReport,
     _componentwise_fibonacci_bounds,
@@ -28,7 +27,6 @@ from interlacepoly.suites import (
     _solid_path2_masks,
     _solid_path_plus_complete_masks,
     _tripartite_plus_isolated_masks,
-    loop_digraph_polynomials,
     run_conjecture_suite,
     run_extremal_suite,
     run_identity_suite,
@@ -69,9 +67,9 @@ def test_orbit_suite_checks_the_interlace_graph_of_a_stray_word(monkeypatch):
     rep = run_orbit_suite(max_symbols=4)
     details = [v["detail"] for v in rep.violations]
     pairs = sum(
-        interlace_graph(w).edge_count
+        interlace_graph(DoubleOccurrenceWord(t)).edge_count
         for n in range(1, 5)
-        for w in all_double_occurrence_words(n)
+        for t in canonical_word_tuples(n)
     )
     assert details.count("transposition left the digraph") == pairs > 0
     assert sum(d.startswith("H(transpose") for d in details) == pairs
@@ -234,12 +232,3 @@ def test_report_mask_failures_are_counted_and_capped():
     }
     assert rep.violations[-1] == {"graph6": "...", "detail": "12 more: odd mask"}
 
-
-def test_loop_digraph_polynomials_are_rising_factorials():
-    polys = loop_digraph_polynomials(6)
-    rising = IntPolynomial.one()
-    for m, r in enumerate(polys, start=1):
-        rising = rising * IntPolynomial((m - 1, 1))
-        assert r == rising
-    # the 3-loop digraph: one partition into 3 circuits, three into 2, two into 1
-    assert polys[2] == IntPolynomial((0, 2, 3, 1))
