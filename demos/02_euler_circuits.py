@@ -29,7 +29,6 @@ from interlacepoly import (
     pivot,
     transition_systems,
     transpose,
-    transposition_orbit,
 )
 
 # ---------------------------------------------------------------------------
@@ -98,15 +97,14 @@ t = transpose(w, 0, 1)
 print("transposing on the interlaced pair (1,2):", t)
 print("its interlace graph is the pivot on 12 with 1 and 2 swapped:",
       interlace_graph(t) == label_swap(pivot(h, 0, 1), 0, 1))
-orbit = transposition_orbit(w)
-print("distinct visit words in the orbit:", len(orbit))
-circuits = circuit_transposition_orbit(w)
+circuits = circuit_transposition_orbit(w)  # each circuit -> its visit word
+print("distinct visit words in the orbit:", len(set(circuits.values())))
 print("distinct circuits in the orbit:   ", len(circuits),
       "(equals the Euler circuit count)")
 
 # words can undercount circuits when the digraph has parallel arcs:
 tiny = DoubleOccurrenceWord.parse("1 2 1 2")
 print()
-print("word '1 2 1 2': ",
-      len(circuit_transposition_orbit(tiny)), "circuits but only",
-      len(transposition_orbit(tiny)), "visit word")
+tiny_circuits = circuit_transposition_orbit(tiny)
+print("word '1 2 1 2': ", len(tiny_circuits), "circuits but only",
+      len(set(tiny_circuits.values())), "visit word")

@@ -12,9 +12,9 @@ from collections import Counter
 
 from interlacepoly import (
     interlace_polynomial,
+    is_unimodal,
     run_conjecture_suite,
     run_extremal_suite,
-    unimodality_report,
 )
 from interlacepoly.enumeration import CoefficientTable
 from interlacepoly.graphs import cycle_graph, path_graph, star_graph
@@ -69,6 +69,6 @@ print(f"  {rep.checked} checks, {len(rep.violations)} unimodality violations")
 
 witness = interlace_polynomial(star_graph(3))
 print(f"q(K_13) = {witness}: unimodal?",
-      unimodality_report(witness).is_unimodal,
+      is_unimodal(witness),
       "log-concave?", is_log_concave(witness))
 print("(so unimodality cannot be proved via log-concavity: it fails already here)")

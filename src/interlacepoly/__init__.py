@@ -37,6 +37,7 @@ from .graphs import (
     pivot,
     relabel,
     star_graph,
+    substitute,
     to_graph6,
 )
 from .interlace import (
@@ -51,7 +52,6 @@ from .interlace import (
     rotate,
     solid_graph,
     star_polynomial,
-    substitute,
     thick_graph,
     vertex_duplication_polynomial,
     vertex_multiplication_polynomial,
@@ -76,18 +76,16 @@ from .euler import (
     resolve_vertex,
     transition_systems,
     transpose,
-    transposition_orbit,
     word_of_circuit,
 )
 from .polynomials import (
     IntPolynomial,
     NegativeCoefficientError,
     NonzeroRemainderError,
-    UnimodalityReport,
     circuit_coeffs_from_interlace,
     interlace_coeffs_from_circuit,
     is_log_concave,
-    unimodality_report,
+    is_unimodal,
 )
 from .suites import (
     VerificationReport,

@@ -27,7 +27,6 @@ from .euler import (
     digraph_from_word,
     euler_circuit_count_best,
     martin_polynomial,
-    transposition_orbit,
 )
 from .graphs import Graph, from_graph6, parse_edge_list, to_graph6
 from .interlace import interlace_polynomial
@@ -77,16 +76,12 @@ def cmd_euler(args: argparse.Namespace) -> int:
         m = martin_polynomial(d)
         print(json.dumps(m.to_json_dict()) if args.json else m)
     else:  # orbit
-        circuits = circuit_transposition_orbit(w)
-        words = sorted(str(v) for v in transposition_orbit(w))
+        orbit = circuit_transposition_orbit(w)
+        words = sorted({str(v) for v in orbit.values()})
         if args.json:
-            print(
-                json.dumps(
-                    {"euler_circuits": len(circuits), "words": words}
-                )
-            )
+            print(json.dumps({"euler_circuits": len(orbit), "words": words}))
         else:
-            print(f"euler circuits (circuit orbit size): {len(circuits)}")
+            print(f"euler circuits (circuit orbit size): {len(orbit)}")
             print(f"distinct visit words: {len(words)}")
             for v in words:
                 print(v)

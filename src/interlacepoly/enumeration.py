@@ -358,70 +358,34 @@ def lowest_in_component(comp: np.ndarray) -> np.ndarray:
 # -- unlabeled free trees ----------------------------------------------------
 
 
-def _rooted_canonical(adj: list[set[int]], root: int, parent: int) -> tuple:
-    children = sorted(
-        _rooted_canonical(adj, u, root) for u in adj[root] if u != parent
-    )
-    return tuple(children)
+def _tree_form(t: Graph) -> tuple:
+    """The least rooted form of the tree over its vertices of largest
+    degree, which names the tree up to isomorphism: a rooted form is the
+    sorted tuple of its subtrees' forms (the Aho-Hopcroft-Ullman code)."""
 
+    def form(v: int, parent: int) -> tuple:
+        return tuple(sorted(form(u, v) for u in t.neighbors(v) if u != parent))
 
-def _tree_centers(adj: list[set[int]]) -> list[int]:
-    n = len(adj)
-    if n == 1:
-        return [0]
-    degree = [len(a) for a in adj]
-    layer = [v for v in range(n) if degree[v] == 1]
-    removed = 0
-    while n - removed > 2:
-        removed += len(layer)
-        nxt = []
-        for v in layer:
-            for u in adj[v]:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    nxt.append(u)
-            degree[v] = 0
-        layer = nxt
-    return layer
-
-
-def _canonical_form(g: Graph) -> tuple:
-    adj = [set(g.neighbors(v)) for v in range(g.n)]
-    return min(_rooted_canonical(adj, c, -1) for c in _tree_centers(adj))
-
-
-def _graph_from_form(form: tuple) -> Graph:
-    edges = []
-
-    def build(f, parent):
-        me = build.counter
-        build.counter += 1
-        if parent >= 0:
-            edges.append((parent, me))
-        for child in f:
-            build(child, me)
-        return me
-
-    build.counter = 0
-    build(form, -1)
-    return Graph(build.counter, edges)
+    top = max(map(t.degree, range(t.n)))
+    return min(form(v, -1) for v in range(t.n) if t.degree(v) == top)
 
 
 def free_trees(n: int) -> list[Graph]:
     """One representative per isomorphism class of trees on n vertices.
 
-    Grown by leaf attachment with canonical-form deduplication; fine for
-    the n <= 10 this library sweeps (there are 106 trees at n = 10).
+    Each tree on k + 1 vertices is a tree on k vertices with a leaf
+    attached, so the classes are grown order by order, keyed by
+    ``_tree_form``, and the first grown graph of a class represents it;
+    fine for the n <= 10 this library sweeps (106 trees at n = 10).
     """
     if n < 1:
         return []
-    forms = {(): None}
+    trees = [Graph(1)]
     for _ in range(n - 1):
-        nxt = {}
-        for form in forms:
-            g = _graph_from_form(form)
-            for v in range(g.n):
-                bigger = Graph(g.n + 1, list(g.edges()) + [(v, g.n)])
-                nxt[_canonical_form(bigger)] = None
-        forms = nxt
-    return [_graph_from_form(f) for f in forms]
+        grown: dict[tuple, Graph] = {}
+        for t in trees:
+            for v in range(t.n):
+                bigger = Graph(t.n + 1, [*t.edges(), (v, t.n)])
+                grown.setdefault(_tree_form(bigger), bigger)
+        trees = list(grown.values())
+    return trees

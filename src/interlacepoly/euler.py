@@ -49,7 +49,7 @@ from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, TooLargeError
+from .graphs import Graph, TooLargeError, _row_components
 from .polynomials import IntPolynomial
 
 FORWARD, BACKWARD = 0, 1
@@ -234,63 +234,47 @@ def transpose(w: DoubleOccurrenceWord, a: int, b: int) -> DoubleOccurrenceWord:
 CIRCUIT_ORBIT_MAX_SIZE = 1 << 22
 
 
-def _closure(start, step, cap: int) -> set:
-    """Everything reachable from start by step (an iterable of successors
-    per element); TooLargeError once more than cap elements are found."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in step(stack.pop()):
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise TooLargeError(f"orbit exceeds {cap} elements")
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
 def _circuit_orbit(word: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Euler circuits of the digraph of a word tuple, as tuples of arc
     ids starting at arc 0 (arc e runs from word[e] to word[e+1]):
-    the closure of the word's own circuit under arc-level transpositions.
-    Each circuit maps to its visit word, word gathered along it, which
-    the closure reads once per circuit."""
-    visits = {}
-
-    def step(c):
-        visits[c] = v = tuple(map(word.__getitem__, c))
-        first, second = _occurrences(v)
-        for _, _, i, j, k, l in _interlaced_pairs(first, second):
+    the closure of the word's own circuit under arc-level transpositions,
+    by a stack walk.  Each circuit maps to its visit word, word gathered
+    along it, stored when the circuit is first found; TooLargeError once
+    more than CIRCUIT_ORBIT_MAX_SIZE circuits are found."""
+    start = tuple(range(len(word)))
+    orbit = {start: word}
+    stack = [start]
+    while stack:
+        c = stack.pop()
+        for _, _, i, j, k, l in _interlaced_pairs(*_occurrences(orbit[c])):
             t = _transpose_slice(c, i, j, k, l)
             if t[0]:  # arc 0 moved, which happens only when i == 0
                 z = t.index(0)
                 t = t[z:] + t[:z]
-            yield t
+            if t not in orbit:
+                if len(orbit) >= CIRCUIT_ORBIT_MAX_SIZE:
+                    cap = CIRCUIT_ORBIT_MAX_SIZE
+                    raise TooLargeError(f"orbit exceeds {cap} elements")
+                orbit[t] = tuple(map(word.__getitem__, t))
+                stack.append(t)
+    return orbit
 
-    _closure(tuple(range(len(word))), step, CIRCUIT_ORBIT_MAX_SIZE)
-    return visits
 
-
-def circuit_transposition_orbit(w: DoubleOccurrenceWord) -> set[tuple[int, ...]]:
-    """Orbit of the word's own circuit under arc-level transpositions.
+def circuit_transposition_orbit(
+    w: DoubleOccurrenceWord,
+) -> dict[tuple[int, ...], DoubleOccurrenceWord]:
+    """Orbit of the word's own circuit under arc-level transpositions:
+    each circuit, a tuple of arc ids from arc 0 (arc e leaves position e),
+    mapped to its vertex-visit word in the word's own tokens.
 
     The orbit is the full set of Euler circuits of the word's digraph
-    (they form a single orbit), so its size equals the BEST count even
-    when parallel arcs make several circuits share a visit word.
+    (they form a single orbit), so its size is the BEST count.  Its set of
+    visit words is the closure of {w} under transpositions on interlaced
+    pairs, and can be *smaller* than the circuit count when parallel arcs
+    make several circuits share a visit word.
     """
-    return set(_circuit_orbit(w.symbols))
-
-
-def transposition_orbit(w: DoubleOccurrenceWord) -> set[DoubleOccurrenceWord]:
-    """The vertex-visit words of all Euler circuits of the word's digraph,
-    in the word's own tokens: the closure of {w} under transpositions on
-    interlaced pairs, read off the circuit orbit.
-
-    It can be *smaller* than the Euler circuit count when the digraph has
-    parallel arcs; circuit_transposition_orbit counts circuits.
-    """
-    visits = _circuit_orbit(w.symbols).values()
-    return {DoubleOccurrenceWord(v, w.labels) for v in visits}
+    orbit = _circuit_orbit(w.symbols)
+    return {c: DoubleOccurrenceWord(v, w.labels) for c, v in orbit.items()}
 
 
 # -- balanced digraphs ------------------------------------------------------
@@ -354,13 +338,11 @@ class BalancedDigraph:
         """Weak connectivity over all ``order`` vertices (no free loops)."""
         if self.free_loops:
             return False
-        if self.order == 0:
-            return True
-        adj = [set() for _ in range(self.order)]
+        rows = [0] * self.order
         for t, h in self.arcs:
-            adj[t].add(h)
-            adj[h].add(t)
-        return len(_closure(0, adj.__getitem__, self.order)) == self.order
+            rows[t] |= 1 << h
+            rows[h] |= 1 << t
+        return len(_row_components(rows)) <= 1
 
     def __eq__(self, other) -> bool:
         return (

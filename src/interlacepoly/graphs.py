@@ -140,6 +140,8 @@ def path_graph(n_edges: int) -> Graph:
     Paths here are indexed by edge count throughout the library; getting
     this off by one silently corrupts every Fibonacci identity downstream.
     """
+    if n_edges < 0:
+        raise ValueError("n_edges must be >= 0")
     return Graph(n_edges + 1, [(i, i + 1) for i in range(n_edges)])
 
 
@@ -149,30 +151,41 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def star_graph(leaves: int) -> Graph:
-    """Star with given leaf count; vertex 0 is the center."""
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def complete_bipartite_graph(m: int, n: int) -> Graph:
-    return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+def substitute(template: Graph, parts: Sequence[Graph]) -> Graph:
+    """G[G_1,...,G_n]: replace vertex i of the template by the graph
+    parts[i], joining all of parts[i] to all of parts[j] whenever ij is a
+    template edge.  Empty parts (order 0) are permitted.
+    """
+    if len(parts) != template.n:
+        raise ValueError("need exactly one replacement graph per template vertex")
+    offs = [0]
+    for p in parts:
+        offs.append(offs[-1] + p.n)
+    edges = []
+    for i, p in enumerate(parts):
+        edges.extend((offs[i] + u, offs[i] + v) for u, v in p.edges())
+    for i, j in template.edges():
+        edges.extend(
+            (u, v)
+            for u in range(offs[i], offs[i] + parts[i].n)
+            for v in range(offs[j], offs[j] + parts[j].n)
+        )
+    return Graph(offs[-1], edges)
 
 
 def complete_multipartite_graph(parts: Sequence[int]) -> Graph:
-    bounds = [0]
-    for p in parts:
-        if p < 0:
-            raise ValueError("part sizes must be >= 0")
-        bounds.append(bounds[-1] + p)
-    edges = []
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            edges.extend(
-                (i, j)
-                for i in range(bounds[a], bounds[a + 1])
-                for j in range(bounds[b], bounds[b + 1])
-            )
-    return Graph(bounds[-1], edges)
+    """K_{p_1,...,p_k}: the complete graph with vertex i replaced by an
+    edgeless graph of order parts[i], its vertices numbered part by part."""
+    return substitute(complete_graph(len(parts)), [edgeless_graph(p) for p in parts])
+
+
+def complete_bipartite_graph(m: int, n: int) -> Graph:
+    return complete_multipartite_graph((m, n))
+
+
+def star_graph(leaves: int) -> Graph:
+    """Star with given leaf count; vertex 0 is the center."""
+    return complete_bipartite_graph(1, leaves)
 
 
 # -- pivot and relabeling -------------------------------------------------

@@ -56,6 +56,7 @@ from .graphs import (
     _row_components,
     complete_graph,
     edgeless_graph,
+    substitute,
 )
 from .polynomials import IntPolynomial
 
@@ -234,31 +235,9 @@ def complete_multipartite_polynomial(parts: Sequence[int]) -> IntPolynomial:
 # -- substitution, duplication, multiplication, rotation -------------------
 
 
-def substitute(template: Graph, parts: Sequence[Graph]) -> Graph:
-    """G[G_1,...,G_n]: replace vertex i of the template by the graph
-    parts[i], joining all of parts[i] to all of parts[j] whenever ij is a
-    template edge.  Empty parts (order 0) are permitted.
-    """
-    if len(parts) != template.n:
-        raise ValueError("need exactly one replacement graph per template vertex")
-    offs = [0]
-    for p in parts:
-        offs.append(offs[-1] + p.n)
-    edges = []
-    for i, p in enumerate(parts):
-        edges.extend((offs[i] + u, offs[i] + v) for u, v in p.edges())
-    for i, j in template.edges():
-        edges.extend(
-            (u, v)
-            for u in range(offs[i], offs[i] + parts[i].n)
-            for v in range(offs[j], offs[j] + parts[j].n)
-        )
-    return Graph(offs[-1], edges)
-
-
 def solid_graph(template: Graph, sizes: Sequence[int]) -> Graph:
     """Substitute complete graphs of the given sizes for the vertices."""
-    return substitute(template, [complete_graph(k) if k else Graph(0) for k in sizes])
+    return substitute(template, [complete_graph(k) for k in sizes])
 
 
 def thick_graph(template: Graph, sizes: Sequence[int]) -> Graph:

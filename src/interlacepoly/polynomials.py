@@ -15,13 +15,12 @@ needed by the interlace / circuit-partition machinery:
   polynomial q and the circuit partition polynomial r,
       r_k = sum_l  a_l * C(l, k-1),
       a_k = sum_l  r_{l+1} * (-1)^(l-k) * C(l, k);
-* a unimodality report (with internal zeros tracked separately) for the
+* a unimodality test (an internal zero is a failure) for the
   coefficient-shape conjectures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from math import comb
 from typing import Iterable, Sequence
@@ -216,48 +215,20 @@ class IntPolynomial:
         return hash(self.coeffs)
 
 
-@dataclass(frozen=True)
-class UnimodalityReport:
-    """Coefficient-shape analysis over the support of a polynomial.
-
-    ``is_unimodal`` is True when, between the first and last nonzero
-    coefficients, the sequence never strictly increases after having
-    strictly decreased, and there are no internal zeros.  Internal zeros
-    (a zero strictly between two nonzero coefficients) are counted
-    separately because they are a distinct, individually interesting way
-    for unimodality to fail.  ``mode_index`` is the degree of the first
-    maximal coefficient (None for the zero polynomial).
-    """
-
-    is_unimodal: bool
-    internal_zero_count: int
-    mode_index: int | None
-
-
-def unimodality_report(p: IntPolynomial) -> UnimodalityReport:
-    """Analyze the coefficient sequence of a nonnegative polynomial."""
+def is_unimodal(p: IntPolynomial) -> bool:
+    """True when the coefficients of a nonnegative polynomial never
+    strictly increase after having strictly decreased.  Leading zeros only
+    rise, and an internal zero (a zero strictly between two nonzero
+    coefficients) is a fall and then a rise, so it is a failure."""
     if any(c < 0 for c in p.coeffs):
         raise NegativeCoefficientError("unimodality analysis needs coeffs >= 0")
-    if p.is_zero():
-        return UnimodalityReport(True, 0, None)
-    lo = next(i for i, c in enumerate(p.coeffs) if c)
-    hi = len(p.coeffs) - 1
-    support = p.coeffs[lo : hi + 1]
-    internal_zeros = sum(1 for c in support if c == 0)
     descending = False
-    monotone_ok = True
-    for prev, cur in zip(support, support[1:]):
+    for prev, cur in zip(p.coeffs, p.coeffs[1:]):
         if cur < prev:
             descending = True
         elif cur > prev and descending:
-            monotone_ok = False
-            break
-    mode = max(range(len(support)), key=lambda i: (support[i], -i))
-    return UnimodalityReport(
-        is_unimodal=monotone_ok and internal_zeros == 0,
-        internal_zero_count=internal_zeros,
-        mode_index=lo + mode,
-    )
+            return False
+    return True
 
 
 def is_log_concave(p: IntPolynomial) -> bool:

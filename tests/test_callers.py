@@ -2,10 +2,11 @@
 
 The test walks the package with ``ast`` and collects each public
 module-level function, class and UPPERCASE constant, and each public
-method of a public class.  A name passes when it is read somewhere in
-src/ outside its own definition (the package ``__init__`` re-exports do
-not count) or in demos/; the CLI lives in src/.  Code that only tests
-call fails here: move it into the test that uses it, or delete it.
+method and annotated field of a public class.  A name passes when it is
+read somewhere in src/ outside its own definition (the package
+``__init__`` re-exports do not count) or in demos/; the CLI lives in
+src/.  Code that only tests call fails here: move it into the test that
+uses it, or delete it.
 The allowlist holds independent oracles and documented builders that
 stay part of the API with no program caller.
 """
@@ -21,8 +22,6 @@ ALLOWED = {
     "pivot_brute": "the pivot by its definition, the oracle for pivot",
     "independence_number": "brute-force oracle for the degree lower bound",
     # documented builders and closed forms of the paper's graph families
-    "complete_bipartite_graph": "builder for K_{m,n}, the closed form's family",
-    "complete_multipartite_graph": "builder for the multipartite closed form",
     "disjoint_union": "builder; q is multiplicative over disjoint unions",
     "induced_subgraph": "builder; the pivot recursion's subgraphs",
     "format_edge_list": "writer matching the CLI's edge-list reader",
@@ -39,7 +38,7 @@ def _public(name: str) -> bool:
 
 def _definitions(tree: ast.Module):
     """Public module-level functions, classes and UPPERCASE constants,
-    and the public methods of public classes."""
+    and the public methods and annotated fields of public classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
             yield node.name
@@ -47,6 +46,10 @@ def _definitions(tree: ast.Module):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and _public(item.name):
                         yield item.name
+                    elif isinstance(item, ast.AnnAssign) and _public(
+                        getattr(item.target, "id", "_")
+                    ):
+                        yield item.target.id
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for t in targets:
@@ -59,11 +62,12 @@ def _references(tree: ast.AST, out: set, enclosing: tuple = ()) -> None:
     the definition of that same name."""
     for node in ast.iter_child_nodes(tree):
         inner = enclosing
+        read = isinstance(getattr(node, "ctx", None), ast.Load)  # not a binding
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             inner = enclosing + (node.name,)
-        elif isinstance(node, ast.Name) and node.id not in enclosing:
+        elif read and isinstance(node, ast.Name) and node.id not in enclosing:
             out.add(node.id)
-        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+        elif read and isinstance(node, ast.Attribute) and node.attr not in enclosing:
             out.add(node.attr)
         _references(node, out, inner)
 

@@ -30,7 +30,6 @@ from interlacepoly.euler import (
     transition_system_count,
     transition_systems,
     transpose,
-    transposition_orbit,
     word_of_circuit,
 )
 from interlacepoly.euler import _plain_changes
@@ -124,6 +123,18 @@ def test_digraph_from_word():
     assert interlace_graph(wa) != interlace_graph(wb)
     with pytest.raises(ValueError):
         BalancedDigraph(2, [(0, 1)])  # unbalanced
+
+
+def test_digraph_weak_connectivity():
+    # connected over every vertex; a free loop is a component of its own
+    assert digraph_from_word(W("1 2 3 1 3 4 2 4")).is_connected()
+    assert BalancedDigraph(0, []).is_connected()
+    assert BalancedDigraph(1, [(0, 0)]).is_connected()
+    assert BalancedDigraph(3, [(0, 1), (1, 2), (2, 0)]).is_connected()
+    assert not BalancedDigraph(2, [(0, 0)]).is_connected()  # vertex 1 is bare
+    assert not BalancedDigraph(2, [(0, 0), (1, 1)]).is_connected()
+    assert not BalancedDigraph(1, [(0, 0)], free_loops=1).is_connected()
+    assert not BalancedDigraph(0, [], free_loops=1).is_connected()
 
 
 def test_transpose_example_and_involution():
@@ -330,16 +341,17 @@ def test_anti_circuits_and_martin_at_minus_2():
 
 def test_transposition_orbit(monkeypatch):
     w = W("1 1 2 2 3 3")
-    assert transposition_orbit(w) == {w}
-    # word orbit = visit words of the circuit orbit; circuit orbit = BEST count
+    assert set(circuit_transposition_orbit(w).values()) == {w}
+    # the circuit orbit is the BEST count of circuits, each mapped to its
+    # visit word; the word orbit is the set of those words
     rng = random.Random(89)
     for _ in range(40):
         w = random_word(rng, rng.randrange(1, 6))
         d = digraph_from_word(w)
-        circuits = circuit_transposition_orbit(w)
-        assert len(circuits) == euler_circuit_count_best(d)
-        words = {word_of_circuit(d, c) for c in circuits}
-        assert transposition_orbit(w) == words
+        orbit = circuit_transposition_orbit(w)
+        assert len(orbit) == euler_circuit_count_best(d)
+        for c, v in orbit.items():  # each circuit is read from arc 0
+            assert c[0] == 0 and v == word_of_circuit(d, c)
         # and the closure of {w} under word transpositions, built here
         closure, todo = {w}, [w]
         while todo:
@@ -349,20 +361,21 @@ def test_transposition_orbit(monkeypatch):
                 if t not in closure:
                     closure.add(t)
                     todo.append(t)
-        assert words == closure
-    # one cap, on circuits, serves both orbits: 1 2 3 1 2 3 has 4 circuits
-    # and one visit word
+        assert set(orbit.values()) == closure
+    # the visit words keep the input's tokens
+    orbit = circuit_transposition_orbit(DoubleOccurrenceWord.parse("a b a b"))
+    assert sorted(map(str, orbit.values())) == ["a b a b"] * 2
+    # the cap counts circuits: 1 2 3 1 2 3 has 4 circuits and one visit word
     w = W("1 2 3 1 2 3")
     monkeypatch.setattr(euler, "CIRCUIT_ORBIT_MAX_SIZE", 2)
-    for orbit in (transposition_orbit, circuit_transposition_orbit):
-        with pytest.raises(TooLargeError, match="orbit exceeds 2 elements"):
-            orbit(w)
+    with pytest.raises(TooLargeError, match="orbit exceeds 2 elements"):
+        circuit_transposition_orbit(w)
 
 
 def test_word_orbit_can_be_smaller_than_circuit_count():
-    w = W("1 2 1 2")
-    assert len(transposition_orbit(w)) == 1
-    assert len(circuit_transposition_orbit(w)) == 2
+    orbit = circuit_transposition_orbit(W("1 2 1 2"))
+    assert len(orbit) == 2
+    assert len(set(orbit.values())) == 1
 
 
 def test_resolution_recursion():

@@ -213,6 +213,17 @@ def test_builders():
         cycle_graph(2)
 
 
+def test_builders_reject_negative_sizes():
+    for build in (
+        lambda: complete_bipartite_graph(-1, 2),
+        lambda: complete_multipartite_graph([2, -1]),
+        lambda: star_graph(-1),
+        lambda: path_graph(-1),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
+
 def test_edge_list_roundtrip():
     g = Graph(5, [(0, 1), (1, 4), (2, 3)])
     text = format_edge_list(g)

@@ -30,6 +30,7 @@ from interlacepoly.graphs import (
     pivot,
     relabel,
     star_graph,
+    substitute,
 )
 from interlacepoly.interlace import (
     LEAF_ORDER,
@@ -46,7 +47,6 @@ from interlacepoly.interlace import (
     rotate,
     solid_graph,
     star_polynomial,
-    substitute,
     thick_graph,
     vertex_duplication_polynomial,
     vertex_multiplication_polynomial,

@@ -11,7 +11,7 @@ from interlacepoly.polynomials import (
     circuit_coeffs_from_interlace,
     interlace_coeffs_from_circuit,
     is_log_concave,
-    unimodality_report,
+    is_unimodal,
 )
 
 X = IntPolynomial.x()
@@ -107,22 +107,13 @@ def test_coefficient_transforms():
 
 
 def test_unimodality_report():
-    rep = unimodality_report(poly(0, 2, 1, 1))
-    assert rep.is_unimodal and rep.internal_zero_count == 0 and rep.mode_index == 1
-
-    spike = IntPolynomial([0, 0, 0, 1000] + [1] * 9)
-    rep = unimodality_report(spike)
-    assert rep.is_unimodal and rep.mode_index == 3
-
-    rep = unimodality_report(poly(0, 1, 0, 1))
-    assert not rep.is_unimodal and rep.internal_zero_count == 1
-
-    rep = unimodality_report(poly(0, 1, 2, 1, 2))
-    assert not rep.is_unimodal and rep.internal_zero_count == 0
-
-    assert unimodality_report(IntPolynomial()).mode_index is None
+    assert is_unimodal(poly(0, 2, 1, 1))
+    assert is_unimodal(IntPolynomial([0, 0, 0, 1000] + [1] * 9))  # a spike
+    assert not is_unimodal(poly(0, 1, 0, 1))  # an internal zero
+    assert not is_unimodal(poly(0, 1, 2, 1, 2))  # rises after falling
+    assert is_unimodal(IntPolynomial())
     with pytest.raises(NegativeCoefficientError):
-        unimodality_report(poly(0, -1))
+        is_unimodal(poly(0, -1))
 
 
 def test_log_concavity():
