@@ -15,19 +15,19 @@ Run:  python3 demos/02_euler_circuits.py
 from interlacepoly import (
     DoubleOccurrenceWord,
     anti_circuit_count,
-    circuit_partition_of,
     circuit_partition_polynomial,
+    circuit_partitions,
     circuit_transposition_orbit,
     digraph_from_word,
     euler_circuit_count_best,
     euler_circuits_brute,
     interlace_graph,
     interlace_polynomial,
+    interlaced,
     label_swap,
     loops_digraph,
     martin_polynomial,
     pivot,
-    transition_systems,
     transpose,
 )
 
@@ -62,11 +62,13 @@ print()
 # transition systems and circuit partitions
 # ---------------------------------------------------------------------------
 
+# a transition system pairs each vertex's in-arcs with its out-arcs, so it
+# is a successor list on the arcs; its circuits are that list's cycles
 counts = {}
-for ts in transition_systems(d):
-    k = circuit_partition_of(d, ts).circuit_count
-    counts[k] = counts.get(k, 0) + 1
+for circuits in circuit_partitions(d):
+    counts[len(circuits)] = counts.get(len(circuits), 0) + 1
 print("partitions into k circuits (2^n transition systems):", counts)
+print("the circuits of the first system:", next(circuit_partitions(d)))
 r = circuit_partition_polynomial(d)
 print("r(D; x) =", r)
 print("x q(H; 1+x) =", q.shift_argument(1).mul_x(), " (the same polynomial)")
@@ -93,6 +95,8 @@ print()
 # transpositions: all Euler circuits form a single orbit
 # ---------------------------------------------------------------------------
 
+print("1 and 2 interlaced:", interlaced(w, 0, 1),
+      "| 1 and 4 interlaced:", interlaced(w, 0, 3))
 t = transpose(w, 0, 1)
 print("transposing on the interlaced pair (1,2):", t)
 print("its interlace graph is the pivot on 12 with 1 and 2 swapped:",

@@ -58,13 +58,12 @@ from .interlace import (
 )
 from .euler import (
     BalancedDigraph,
-    CircuitPartition,
     DisconnectedError,
     DoubleOccurrenceWord,
     NotInterlacedError,
     anti_circuit_count,
-    circuit_partition_of,
     circuit_partition_polynomial,
+    circuit_partitions,
     circuit_transposition_orbit,
     digraph_from_word,
     euler_circuit_count_best,
@@ -74,7 +73,6 @@ from .euler import (
     loops_digraph,
     martin_polynomial,
     resolve_vertex,
-    transition_systems,
     transpose,
     word_of_circuit,
 )

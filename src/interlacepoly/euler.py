@@ -19,8 +19,8 @@ distinguishable loops in which every vertex has in-degree equal to
 out-degree, plus a count of free loops (closed curves through no vertex).
 Such digraphs are exactly the edge-disjoint unions of oriented circuits
 and free loops.  A transition system matches, at every vertex, each
-incoming arc end to an outgoing arc end; following the matchings
-partitions the arcs into circuits.  The circuit partition polynomial
+in-arc to an out-arc, so it is a successor list on the arcs whose cycles
+are its circuits (``circuit_partitions``).  The circuit partition polynomial
 
     r(D; x) = sum_k (number of transition systems with k circuits) x^k
 
@@ -44,7 +44,6 @@ word).  Counting operations here therefore count circuits, not words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
@@ -70,7 +69,7 @@ class DoubleOccurrenceWord:
     present, map symbol ids back to the tokens they were parsed from.
     """
 
-    __slots__ = ("symbols", "labels", "_first", "_second")
+    __slots__ = ("symbols", "labels")
 
     def __init__(
         self, symbols: Iterable[int], labels: Sequence[str] | None = None
@@ -87,14 +86,10 @@ class DoubleOccurrenceWord:
             counts[s] += 1
         if any(c != 2 for c in counts):
             raise ValueError("every symbol must appear exactly twice")
-        syms = _canonical_rotation(syms)
-        first, second = _occurrences(syms)
-        object.__setattr__(self, "symbols", syms)
+        object.__setattr__(self, "symbols", _canonical_rotation(syms))
         object.__setattr__(
             self, "labels", tuple(labels) if labels is not None else None
         )
-        object.__setattr__(self, "_first", first)
-        object.__setattr__(self, "_second", second)
 
     def __setattr__(self, name, value):
         raise AttributeError("DoubleOccurrenceWord is immutable")
@@ -198,9 +193,12 @@ def _transpose_slice(s: tuple, i: int, j: int, k: int, l: int) -> tuple:
 
 def _crossing(w: DoubleOccurrenceWord, a: int, b: int) -> list[int] | None:
     """Positions i < j < k < l of the occurrences of a and b when they
-    are interlaced, else None."""
-    first, second = (w._first[a], w._first[b]), (w._second[a], w._second[b])
-    for _, _, *pos in _interlaced_pairs(first, second):
+    are interlaced, else None.  ValueError when either is not a symbol."""
+    if not (0 <= a < w.n and 0 <= b < w.n):
+        raise ValueError(f"symbols {a} and {b} must both be in 0..{w.n - 1}")
+    first, second = _occurrences(w.symbols)
+    pair = _interlaced_pairs((first[a], first[b]), (second[a], second[b]))
+    for _, _, *pos in pair:
         return pos
     return None
 
@@ -213,7 +211,7 @@ def interlaced(w: DoubleOccurrenceWord, a: int, b: int) -> bool:
 def interlace_graph(w: DoubleOccurrenceWord) -> Graph:
     """The interlace graph H(w): symbols as vertices, edges between
     interlaced pairs.  This is the circle graph of the chord diagram."""
-    edges = [(a, b) for a, b, *_ in _interlaced_pairs(w._first, w._second)]
+    edges = [(a, b) for a, b, *_ in _interlaced_pairs(*_occurrences(w.symbols))]
     return Graph(w.n, edges)
 
 
@@ -285,11 +283,13 @@ class BalancedDigraph:
     everywhere; ``free_loops`` counts vertexless loops.
 
     Arcs are (tail, head) pairs identified by position; parallel arcs and
-    loops are allowed and distinct.  Equality compares the arc multiset,
-    the order and the free-loop count.
+    loops are allowed and distinct.  ``in_lists[v]`` and ``out_lists[v]``
+    hold the ids of the arcs with head v and with tail v, in increasing
+    order.  Equality compares the arc multiset, the order and the
+    free-loop count.
     """
 
-    __slots__ = ("order", "arcs", "free_loops", "_in_lists", "_out_lists")
+    __slots__ = ("order", "arcs", "free_loops", "in_lists", "out_lists")
 
     def __init__(
         self,
@@ -298,6 +298,8 @@ class BalancedDigraph:
         free_loops: int = 0,
     ):
         arcs = tuple((int(t), int(h)) for t, h in arcs)
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
         if free_loops < 0:
             raise ValueError("free_loops must be >= 0")
         in_lists: list[list[int]] = [[] for _ in range(order)]
@@ -316,23 +318,15 @@ class BalancedDigraph:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "free_loops", free_loops)
-        object.__setattr__(self, "_in_lists", tuple(map(tuple, in_lists)))
-        object.__setattr__(self, "_out_lists", tuple(map(tuple, out_lists)))
+        object.__setattr__(self, "in_lists", tuple(map(tuple, in_lists)))
+        object.__setattr__(self, "out_lists", tuple(map(tuple, out_lists)))
 
     def __setattr__(self, name, value):
         raise AttributeError("BalancedDigraph is immutable")
 
     @property
     def is_two_in_two_out(self) -> bool:
-        return all(len(outs) == 2 for outs in self._out_lists)
-
-    def in_arcs(self, v: int) -> tuple[int, ...]:
-        """Ids of the arcs with head v, in increasing order."""
-        return self._in_lists[v]
-
-    def out_arcs(self, v: int) -> tuple[int, ...]:
-        """Ids of the arcs with tail v, in increasing order."""
-        return self._out_lists[v]
+        return all(len(outs) == 2 for outs in self.out_lists)
 
     def is_connected(self) -> bool:
         """Weak connectivity over all ``order`` vertices (no free loops)."""
@@ -362,6 +356,8 @@ class BalancedDigraph:
 
 def loops_digraph(m: int) -> BalancedDigraph:
     """m distinguishable loops on a single vertex."""
+    if m < 0:
+        raise ValueError(f"loop count must be >= 0, got {m}")
     return BalancedDigraph(1, [(0, 0)] * m)
 
 
@@ -375,41 +371,28 @@ def digraph_from_word(w: DoubleOccurrenceWord) -> BalancedDigraph:
 
 # -- transition systems and circuit partitions ------------------------------
 
-TransitionSystem = tuple[tuple[int, ...], ...]
-"""Per-vertex matching of in-arc ends to out-arc ends.
 
-Entry v is a permutation p of range(deg(v)): the i-th in-arc of vertex v
-(in arc-id order) is followed by the p[i]-th out-arc.  For a loop, the
-arc appears in both lists; a matching may send it to itself.
-"""
+def circuit_partitions(d: BalancedDigraph) -> Iterator[list[tuple[int, ...]]]:
+    """The circuits of every transition system, one list per system.
 
-
-@dataclass(frozen=True)
-class CircuitPartition:
-    """A partition of the arcs into circuits, plus free loops.
-
-    Each circuit is a tuple of arc ids in traversal order, rotated to
-    start at its smallest arc id; circuits are sorted by that id.
+    A transition system matches, at every vertex, its in-arcs in arc-id
+    order to a permutation of its out-arcs; the systems are the product
+    of those permutations over the vertices, in that order.  Each arc's
+    successor is the out-arc matched to it, and the circuits are the
+    cycles of that successor list, each read from its least arc and
+    sorted by it.  Free loops are not listed; each adds one circuit.
     """
-
-    circuits: tuple[tuple[int, ...], ...]
-    free_loops: int = 0
-
-    @property
-    def circuit_count(self) -> int:
-        return len(self.circuits) + self.free_loops
-
-
-def transition_systems(d: BalancedDigraph) -> Iterator[TransitionSystem]:
-    """All transition systems, as tuples of per-vertex permutations."""
-    yield from product(
-        *(tuple(permutations(range(len(ins)))) for ins in d._in_lists)
-    )
+    nxt = [0] * len(d.arcs)
+    for choice in product(*(permutations(outs) for outs in d.out_lists)):
+        for ins, outs in zip(d.in_lists, choice):
+            for e, f in zip(ins, outs):
+                nxt[e] = f
+        yield _cycles(nxt, range(len(nxt)))
 
 
 def transition_system_count(d: BalancedDigraph) -> int:
     count = 1
-    for ins in d._in_lists:
+    for ins in d.in_lists:
         count *= factorial(len(ins))
     return count
 
@@ -428,20 +411,6 @@ def _cycles(succ, items: Iterable[int]) -> list[tuple[int, ...]]:
             seen.update(cyc)
             cycles.append(tuple(cyc))
     return cycles
-
-
-def circuit_partition_of(
-    d: BalancedDigraph, ts: TransitionSystem
-) -> CircuitPartition:
-    """Partition of the arcs induced by following the transition system."""
-    # next arc after e: at v = head(e), look up e's slot among v's in-arcs
-    nxt = [0] * len(d.arcs)
-    for v in range(d.order):
-        perm = ts[v]
-        outs = d.out_arcs(v)
-        for i, e in enumerate(d.in_arcs(v)):
-            nxt[e] = outs[perm[i]]
-    return CircuitPartition(tuple(_cycles(nxt, range(len(d.arcs)))), d.free_loops)
 
 
 def _plain_changes(k: int) -> list[int]:
@@ -514,7 +483,7 @@ def circuit_partition_polynomial(d: BalancedDigraph) -> IntPolynomial:
     # start from the identity matching at every vertex
     nxt = [0] * len(d.arcs)
     digits = []  # per vertex of degree >= 2: the in-arc pair of each step
-    for ins, outs in zip(d._in_lists, d._out_lists):
+    for ins, outs in zip(d.in_lists, d.out_lists):
         for e, f in zip(ins, outs):
             nxt[e] = f
         if len(ins) > 1:
@@ -562,12 +531,7 @@ def euler_circuits_brute(d: BalancedDigraph) -> list[DoubleOccurrenceWord]:
     if not d.is_connected():
         raise DisconnectedError("Euler circuits need a connected digraph")
     _check_enumerable(d)
-    out = []
-    for ts in transition_systems(d):
-        part = circuit_partition_of(d, ts)
-        if part.circuit_count == 1:
-            out.append(word_of_circuit(d, part.circuits[0]))
-    return out
+    return [word_of_circuit(d, p[0]) for p in circuit_partitions(d) if len(p) == 1]
 
 
 # -- BEST-theorem counting --------------------------------------------------
@@ -647,7 +611,7 @@ def anti_circuit_count(d: BalancedDigraph) -> int:
     if d.free_loops:
         raise ValueError("free loops are not part of anti-circuit decompositions")
     succ = [0] * (2 * len(d.arcs))
-    for (i1, i2), (o1, o2) in zip(d._in_lists, d._out_lists):
+    for (i1, i2), (o1, o2) in zip(d.in_lists, d.out_lists):
         succ[2 * i1 + FORWARD] = 2 * i2 + BACKWARD
         succ[2 * i2 + FORWARD] = 2 * i1 + BACKWARD
         succ[2 * o1 + BACKWARD] = 2 * o2 + FORWARD
@@ -662,14 +626,15 @@ def resolve_vertex(
     d: BalancedDigraph, v: int, pairing: Sequence[int]
 ) -> BalancedDigraph:
     """Resolve vertex v: unite each in-arc with the paired out-arc and
-    delete v.  ``pairing`` is a permutation as in a transition system
-    entry.  Chains of loops at v collapse; a cycle living entirely in
-    loops at v becomes a free loop.  Circuit partitions satisfy
-    r(D) = sum of r over the resolutions at any one vertex.
+    delete v.  ``pairing`` is a permutation p of range(deg(v)): the i-th
+    in-arc of v, in arc-id order, joins the p[i]-th out-arc.  Chains of
+    loops at v collapse; a cycle living entirely in loops at v becomes a
+    free loop.  Circuit partitions satisfy r(D) = sum of r over the
+    resolutions at any one vertex.
     """
     if not 0 <= v < d.order:
         raise ValueError(f"vertex {v} out of range")
-    in_list, out_list = d.in_arcs(v), d.out_arcs(v)
+    in_list, out_list = d.in_lists[v], d.out_lists[v]
     if sorted(pairing) != list(range(len(in_list))):
         raise ValueError("pairing must be a permutation of the arc ends")
     follow = {in_list[i]: out_list[p] for i, p in enumerate(pairing)}
@@ -702,6 +667,8 @@ def canonical_word_tuples(n: int) -> Iterator[tuple[int, ...]]:
     Enumerates linear arrangements that start with symbol 0 and keeps
     exactly the canonical rotation of each cyclic word.
     """
+    if n < 0:
+        raise ValueError(f"symbol count must be >= 0, got {n}")
     if n == 0:
         yield ()
         return

@@ -319,7 +319,7 @@ def rotate(g: Graph, u: int, v: int) -> Graph:
     """
     if u == v or not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError(f"invalid vertex pair ({u},{v})")
-    edges = set(frozenset(e) for e in g.edges())
-    edges ^= {frozenset((u, v))}
-    w = g.n
-    return Graph(g.n + 1, [tuple(e) for e in edges] + [(u, w)])
+    rows = list(g.rows) + [1 << u]
+    rows[u] ^= 1 << v | 1 << g.n
+    rows[v] ^= 1 << u
+    return Graph.from_rows(rows)

@@ -16,8 +16,8 @@ from interlacepoly.euler import (
     NotInterlacedError,
     anti_circuit_count,
     canonical_word_tuples,
-    circuit_partition_of,
     circuit_partition_polynomial,
+    circuit_partitions,
     circuit_transposition_orbit,
     digraph_from_word,
     euler_circuit_count_best,
@@ -28,7 +28,6 @@ from interlacepoly.euler import (
     martin_polynomial,
     resolve_vertex,
     transition_system_count,
-    transition_systems,
     transpose,
     word_of_circuit,
 )
@@ -125,6 +124,15 @@ def test_digraph_from_word():
         BalancedDigraph(2, [(0, 1)])  # unbalanced
 
 
+def test_word_layer_rejects_negative_sizes():
+    with pytest.raises(ValueError, match="loop count must be >= 0"):
+        loops_digraph(-3)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        BalancedDigraph(-2, [])
+    with pytest.raises(ValueError, match="symbol count must be >= 0"):
+        list(canonical_word_tuples(-2))
+
+
 def test_digraph_weak_connectivity():
     # connected over every vertex; a free loop is a component of its own
     assert digraph_from_word(W("1 2 3 1 3 4 2 4")).is_connected()
@@ -144,6 +152,12 @@ def test_transpose_example_and_involution():
     assert transpose(got, 0, 2) == w
     with pytest.raises(NotInterlacedError):
         transpose(W("1 1 2 2"), 0, 1)
+    # a symbol outside 0..n-1 is rejected, not wrapped or indexed past
+    w = W("1 2 3 1 2 3")
+    for a, b in ((-1, 0), (0, -1), (0, 3), (3, 0)):
+        for op in (interlaced, transpose):
+            with pytest.raises(ValueError, match=f"{a} and {b} must both be in 0..2"):
+                op(w, a, b)
     rng = random.Random(61)
     for _ in range(200):
         w = random_word(rng, rng.randrange(2, 7))
@@ -179,15 +193,12 @@ def test_transpose_commutes_with_pivot():
 
 def test_circuit_partition_counts_1212():
     d = digraph_from_word(W("1 2 1 2"))
-    counts = sorted(
-        circuit_partition_of(d, ts).circuit_count for ts in transition_systems(d)
-    )
+    counts = sorted(len(circuits) for circuits in circuit_partitions(d))
     assert counts == [1, 1, 2, 2]
     assert circuit_partition_polynomial(d) == poly(0, 2, 2)
     # every circuit starts at its least arc, and the circuits are sorted by it
     for dg in (d, loops_digraph(4), digraph_from_word(W("1 2 3 1 3 2 4 4"))):
-        for ts in transition_systems(dg):
-            circuits = circuit_partition_of(dg, ts).circuits
+        for circuits in circuit_partitions(dg):
             starts = [c[0] for c in circuits]
             assert starts == [min(c) for c in circuits] == sorted(starts)
 
@@ -196,8 +207,8 @@ def _reference_r(d):
     """r(D;x) from the per-system reference: one circuit partition per
     transition system."""
     counts = [0] * (len(d.arcs) + d.free_loops + 1)
-    for ts in transition_systems(d):
-        counts[circuit_partition_of(d, ts).circuit_count] += 1
+    for circuits in circuit_partitions(d):
+        counts[len(circuits) + d.free_loops] += 1
     return IntPolynomial(counts)
 
 
@@ -223,7 +234,9 @@ def test_plain_changes_visit_every_permutation():
         assert swaps == swaps[::-1]  # the Gray walk relies on this
 
 
-def test_gray_walk_matches_per_system_reference():
+def _digraph_corpus():
+    """Loops, free loops, the digraphs of all words of <= 5 symbols and
+    their two resolutions at vertex 0, and 200 seeded general digraphs."""
     digraphs = [loops_digraph(m) for m in range(1, 7)]
     digraphs += [BalancedDigraph(0, [], free_loops=k) for k in range(4)]
     for n in range(6):
@@ -240,8 +253,24 @@ def test_gray_walk_matches_per_system_reference():
         if transition_system_count(d) <= 5000:
             digraphs.append(d)
             general += 1
-    for d in digraphs:
+    return digraphs
+
+
+def test_gray_walk_matches_per_system_reference():
+    for d in _digraph_corpus():
         assert circuit_partition_polynomial(d) == _reference_r(d), d
+
+
+def test_circuit_partitions_are_closed_walks_covering_every_arc():
+    for d in _digraph_corpus():
+        count = 0
+        for circuits in circuit_partitions(d):
+            count += 1
+            assert sorted(e for c in circuits for e in c) == list(range(len(d.arcs)))
+            for c in circuits:
+                for e, f in zip(c, c[1:] + c[:1]):
+                    assert d.arcs[e][1] == d.arcs[f][0], (d, c)
+        assert count == transition_system_count(d), d
 
 
 def test_transition_enumeration_cutoff(monkeypatch):
@@ -414,7 +443,7 @@ def test_resolution_recursion_general_degrees():
         if transition_system_count(d) > 5000:
             continue
         v = rng.randrange(d.order)
-        ins = d.in_arcs(v)
+        ins = d.in_lists[v]
         if not ins:
             continue
         total = None
