@@ -15,18 +15,17 @@ from interlacepoly import (
     run_identity_suite,
     run_orbit_suite,
 )
-from interlacepoly.enumeration import CoefficientTable, graph_of_mask
+from interlacepoly.enumeration import coefficient_table, evaluate, graph_of_mask
 
 # ---------------------------------------------------------------------------
 # the coefficient table: q for every labeled graph of one order at once
 # ---------------------------------------------------------------------------
 
-table = CoefficientTable(5)
-rows = table.table(5)
+rows = coefficient_table(5)
 print(f"order 5: {len(rows)} labeled graphs,",
       "coefficient table shape", rows.shape)
 print("q(2) = 32 for every one of them:",
-      bool((table.evaluate(5, 2) == 32).all()))
+      bool((evaluate(5, 2) == 32).all()))
 
 # a random row, decoded
 mask = 0b1010011

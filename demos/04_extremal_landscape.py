@@ -16,7 +16,7 @@ from interlacepoly import (
     run_conjecture_suite,
     run_extremal_suite,
 )
-from interlacepoly.enumeration import CoefficientTable
+from interlacepoly.enumeration import evaluate
 from interlacepoly.graphs import cycle_graph, path_graph, star_graph
 from interlacepoly.interlace import solid_graph
 from interlacepoly.polynomials import is_log_concave
@@ -26,8 +26,7 @@ from interlacepoly.polynomials import is_log_concave
 # ---------------------------------------------------------------------------
 
 n = 6
-table = CoefficientTable(n)
-values = Counter(int(v) for v in table.evaluate(n, 1))
+values = Counter(int(v) for v in evaluate(n, 1))
 print(f"distribution of q(1) over all {2**15} labeled graphs of order {n}:")
 for value in sorted(values):
     print(f"   q(1) = {value:3d}: {values[value]} graphs")

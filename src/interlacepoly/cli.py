@@ -32,6 +32,7 @@ from .graphs import Graph, from_graph6, parse_edge_list, to_graph6
 from .interlace import interlace_polynomial
 from .polynomials import IntPolynomial
 from .suites import (
+    ORBIT_MAX_SYMBOLS,
     run_conjecture_suite,
     run_extremal_suite,
     run_identity_suite,
@@ -90,13 +91,7 @@ def cmd_euler(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
-    if n > en.TABLE_MAX_ORDER:
-        raise ValueError(
-            f"order {n} exceeds {en.TABLE_MAX_ORDER}, the largest order"
-            " enumerate covers (2^C(n,2) graphs)"
-        )
-    table = en.CoefficientTable(n)
-    rows, index = table.distinct(n)
+    rows, index = en.distinct(n)
     masks = np.arange(len(index))
     if args.connected:
         masks = masks[en.component_count_table(n) <= 1]
@@ -148,9 +143,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--{flag.replace('_', '-')} must be at least 0, got {value}"
             )
-    if args.words_n_max > en.TABLE_MAX_ORDER:
+    if args.words_n_max > ORBIT_MAX_SYMBOLS:
         raise ValueError(
-            f"--words-n-max must be at most {en.TABLE_MAX_ORDER}, got {args.words_n_max}"
+            f"--words-n-max must be at most {ORBIT_MAX_SYMBOLS}, got {args.words_n_max}"
         )
     reports = []
     if args.suite == "identities":

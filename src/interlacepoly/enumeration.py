@@ -16,7 +16,10 @@ checks run once per distinct polynomial.  That is what makes exhaustive
 identity checking over all 2,097,152 graphs of order 7 a minutes-scale job
 instead of an hours-scale one.  Each order's distinct words, every mask's
 index into them and the component counts are built once per process,
-under one lock, and every caller reads the same read-only arrays.
+under one lock, and every caller reads the same read-only arrays through
+functions of the order: ``words``, ``distinct``, ``coefficient_table``,
+``evaluate``, ``degrees``, ``lowest_degrees``, ``nonzero_term_counts`` and
+``component_count_table``.
 
 The mask-level operations (pivot, the component of each vertex) and the
 per-graph structure tables (independence number, component count, edge
@@ -27,8 +30,9 @@ Every relabeling (vertex deletion, label swap, disjoint-union shift) and
 the neighbour sets are bit maps, each compiled once into one 256-entry
 table per source byte and applied as one gather and OR per byte.
 
-Orders above 7 are rejected: the order-8 table alone would hold 2^28
-rows.  Use the recursive engine for individual larger graphs.
+Each of them rejects an order above 7, in one check: the order-8 table
+alone would hold 2^28 rows.  Use the recursive engine for individual
+larger graphs.
 """
 
 from __future__ import annotations
@@ -167,22 +171,32 @@ def label_swap_masks(masks: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     return relabel_masks(masks, [{a: b, b: a}.get(x, x) for x in range(n)], n)
 
 
-# -- the coefficient table ---------------------------------------------------
+# -- the coefficient tables ---------------------------------------------------
 
 
-# The per-process tables by order, each built once by _extend: _LEVELS[k] is
-# (the distinct words u, every mask's index into u), _COMPONENTS[k] the counts.
+# The per-process tables by order, each order built once under _LOCK by
+# _level: _LEVELS[k] is (the distinct words u, every mask's index into u, the
+# component counts).
 _LOCK = threading.Lock()
-_LEVELS = [(_read_only(np.ones(1, dtype=WORD)), _read_only(np.zeros(1, np.intp)))]
-_COMPONENTS = [_read_only(np.zeros(1, dtype=np.int8))]
+_LEVELS = [
+    (_read_only(np.ones(1, dtype=WORD)), _read_only(np.zeros(1, np.intp)),
+     _read_only(np.zeros(1, dtype=np.int8)))
+]
 
 
-def _extend(store: list, build, n: int):
-    """``store[n]``, after appending ``build(k)`` for each missing order k."""
+def _level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_LEVELS[n]``, after building each missing order up to n; the one
+    check of the tables' order range."""
+    if n < 0:
+        raise ValueError(f"order must be at least 0, got {n}")
+    if n > TABLE_MAX_ORDER:
+        raise TooLargeError(
+            f"order {n} exceeds {TABLE_MAX_ORDER}, the largest order of the tables"
+        )
     with _LOCK:
-        while len(store) <= n:
-            store.append(build(len(store)))
-    return store[n]
+        for k in range(len(_LEVELS), n + 1):
+            _LEVELS.append((*_build_level(k), _component_level(k)))
+    return _LEVELS[n]
 
 
 def _build_level(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +206,7 @@ def _build_level(k: int) -> tuple[np.ndarray, np.ndarray]:
     With v named b, G^{vb} - b is G - v with the tripartite toggle
     T[S, N(b) | b] applied.  A mask's key is the pair of order-(k-1) rows it
     adds, and each key that occurs is summed once."""
-    n, (prev_u, prev_index) = k - 1, _LEVELS[k - 1]
+    n, (prev_u, prev_index, _) = k - 1, _LEVELS[k - 1]
     d = len(prev_u)
     assert d * d + d < 1 << 16, "the keys must fit uint16"
     low = np.arange(len(prev_index), dtype=np.int64)
@@ -210,72 +224,54 @@ def _build_level(k: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(u), _read_only(np.searchsorted(u, sums)[key.ravel()])
 
 
-class CoefficientTable:
-    """Interlace polynomials of all labeled graphs of orders 0..n_max.
+def words(n: int) -> np.ndarray:
+    """q(G;256) for every order-n graph, ``words(n)[mask]``: a little-endian
+    uint64 whose byte d is the degree-d coefficient.  This is exact:
+    q(G;2) = 2^n and c_d >= 0 bound c_d <= 2^(n-d) <= 128, so the sum of two
+    words, or the product for two orders summing to <= 7, never carries.
+    Gathered on each call from the order's distinct words and index."""
+    u, index, _ = _level(n)
+    return u[index]
 
-    ``words(k)[mask]`` is q(G;256) for the order-k graph encoded by mask:
-    a little-endian uint64 whose byte d is the degree-d coefficient.  This
-    is exact: q(G;2) = 2^k and c_d >= 0 bound c_d <= 2^(k-d) <= 128, so the
-    sum of two words, or the product for two orders summing to <= 7, never
-    carries.  The 2^21 order-7 graphs have only 112 distinct polynomials;
-    every row-wise function of q runs once per distinct polynomial
-    (``distinct(k)``) and is gathered back to the masks.  ``table(k)`` is
-    the int64 array of shape (2^C(k,2), k+1) of the same coefficients.
 
-    Each order keeps its distinct words and every mask's index into them,
-    built once per process and shared read-only; ``words(k)`` is gathered
-    through the index.  An instance answers for orders 0..n_max only.
-    """
+def distinct(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, index): the distinct order-n polynomials as int64 rows, in
+    increasing word order, read from the words' bytes, and for every mask
+    the row of its polynomial, so q(mask) = rows[index[mask]].  The 2^21
+    order-7 graphs have only 112 distinct polynomials, so every row-wise
+    function of q runs once per row and is gathered back to the masks."""
+    u, index, _ = _level(n)
+    return u.view(np.uint8).reshape(-1, 8)[:, : n + 1].astype(np.int64), index
 
-    def __init__(self, n_max: int):
-        if n_max < 0:
-            raise ValueError(f"order must be at least 0, got {n_max}")
-        if n_max > TABLE_MAX_ORDER:
-            raise TooLargeError(
-                f"coefficient tables stop at order {TABLE_MAX_ORDER}"
-            )
-        self.n_max = n_max
-        _extend(_LEVELS, _build_level, n_max)
 
-    def _level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"order must be in 0..{self.n_max}, got {n}")
-        return _LEVELS[n]
+def coefficient_table(n: int) -> np.ndarray:
+    """The int64 coefficients of every order-n graph, shape (2^C(n,2), n+1)."""
+    rows, index = distinct(n)
+    return rows[index]
 
-    def words(self, n: int) -> np.ndarray:
-        u, index = self._level(n)
-        return u[index]
 
-    def distinct(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, index): the distinct order-n polynomials as int64 rows, in
-        increasing word order, read from the words' bytes, and for every mask
-        the row of its polynomial, so q(mask) = rows[index[mask]]."""
-        u, index = self._level(n)
-        return u.view(np.uint8).reshape(-1, 8)[:, : n + 1].astype(np.int64), index
+def evaluate(n: int, x0: int) -> np.ndarray:
+    """q(G; x0) for every order-n graph, as a vector over masks."""
+    rows, index = distinct(n)
+    powers = np.array([x0**d for d in range(n + 1)], dtype=np.int64)
+    return (rows @ powers)[index]
 
-    def table(self, n: int) -> np.ndarray:
-        rows, index = self.distinct(n)
-        return rows[index]
 
-    def evaluate(self, n: int, x0: int) -> np.ndarray:
-        """q(G; x0) for every order-n graph, as a vector over masks."""
-        rows, index = self.distinct(n)
-        powers = np.array([x0**d for d in range(n + 1)], dtype=np.int64)
-        return (rows @ powers)[index]
+def degrees(n: int) -> np.ndarray:
+    rows, index = distinct(n)
+    nz = rows != 0
+    assert nz.any(axis=1).all(), "q is never the zero polynomial"
+    return (n - np.argmax(nz[:, ::-1], axis=1))[index]
 
-    def degrees(self, n: int) -> np.ndarray:
-        rows, index = self.distinct(n)
-        nz = rows != 0
-        assert nz.any(axis=1).all(), "q is never the zero polynomial"
-        return (n - np.argmax(nz[:, ::-1], axis=1))[index]
 
-    def lowest_degrees(self, n: int) -> np.ndarray:
-        rows, index = self.distinct(n)
-        return np.argmax(rows != 0, axis=1)[index]
+def lowest_degrees(n: int) -> np.ndarray:
+    rows, index = distinct(n)
+    return np.argmax(rows != 0, axis=1)[index]
 
-    def nonzero_term_counts(self, n: int) -> np.ndarray:
-        rows, index = self.distinct(n)
-        return (rows != 0).sum(axis=1)[index]
+
+def nonzero_term_counts(n: int) -> np.ndarray:
+    rows, index = distinct(n)
+    return (rows != 0).sum(axis=1)[index]
 
 
 # -- vectorized structure tables ---------------------------------------------
@@ -334,20 +330,20 @@ def vertex_component_masks(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 def _component_level(k: int) -> np.ndarray:
+    """The number of connected components of every order-k graph, by order
+    on the last vertex v: c(G - v) + 1 - the number of components of G - v
+    that N(v) meets, counted by their lowest vertices."""
     n = k - 1  # one block per S = N(v), as in _build_level
     comp = vertex_component_masks(np.arange(1 << pair_count(n), dtype=np.int64), n)
     root = comp & -comp  # the lowest vertex of each vertex's component
     S = np.arange(1 << n, dtype=np.uint8)[:, None]
     met = reduce(np.bitwise_or, (root[:, u] & -(S >> u & 1) for u in range(n)), np.uint8(0))
-    return _read_only((_COMPONENTS[n] + 1 - np.bitwise_count(met).view(np.int8)).ravel())
+    return _read_only((_LEVELS[n][2] + 1 - np.bitwise_count(met).view(np.int8)).ravel())
 
 
 def component_count_table(n: int) -> np.ndarray:
-    """Number of connected components of every order-n graph, by order on the
-    last vertex v: c(G - v) + 1 - the number of components of G - v that N(v)
-    meets, counted by their lowest vertices.  Every order up to n is built
-    once per process, and read-only."""
-    return _extend(_COMPONENTS, _component_level, n)
+    """Number of connected components of every order-n graph, read-only."""
+    return _level(n)[2]
 
 
 def lowest_in_component(comp: np.ndarray) -> np.ndarray:

@@ -81,7 +81,7 @@ class DoubleOccurrenceWord:
         n = n2 // 2
         counts = [0] * n
         for s in syms:
-            if not isinstance(s, int) or not 0 <= s < n:
+            if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < n:
                 raise ValueError(f"symbols must be dense ints 0..{n - 1}, got {s!r}")
             counts[s] += 1
         if any(c != 2 for c in counts):

@@ -22,7 +22,7 @@ The recursion here is exponential but heavily pruned:
   which a call that builds the table is no slower), each subproblem of
   order <= 6 is one lookup, ahead of the split and the memo, in a table
   keyed by pair mask and converted once per process from the order <= 6
-  distinct rows that enumeration shares with every CoefficientTable.
+  distinct rows that enumeration shares with every other reader.
 
 The pivot edge is chosen deterministically: first endpoint of minimum
 degree (ties by index), second its lowest-indexed neighbor.  Deleting a
@@ -45,7 +45,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import MutableMapping, Sequence
 
-from .enumeration import CoefficientTable
+from .enumeration import distinct
 from .graphs import (
     Graph,
     TooLargeError,
@@ -71,10 +71,9 @@ LEAF_TABLE_MIN_ORDER = 16
 def _leaf_table() -> tuple[list[int], ...]:
     """``leaves[k][mask]``: packed q of every graph of order k <= LEAF_ORDER,
     packed once per distinct coefficient row."""
-    table = CoefficientTable(LEAF_ORDER)
     leaves = []
     for k in range(LEAF_ORDER + 1):
-        rows, index = table.distinct(k)
+        rows, index = distinct(k)
         packed = [sum(c << LANE * d for d, c in enumerate(row)) for row in rows.tolist()]
         leaves.append([packed[i] for i in index.tolist()])
     return tuple(leaves)

@@ -38,11 +38,11 @@ class NegativeCoefficientError(ValueError):
 
 def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
     out = list(coeffs)
+    for c in out:
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
     while out and out[-1] == 0:
         out.pop()
-    for c in out:
-        if not isinstance(c, int):
-            raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
     return tuple(out)
 
 

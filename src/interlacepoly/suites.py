@@ -75,6 +75,9 @@ from .polynomials import (
 )
 
 MAX_VIOLATIONS_PER_CHECK = 20
+# 7 symbols have about 48.6 M canonical words: held as 14-tuples by the orbit
+# suite's first pass, they alone would need over 8 GB
+ORBIT_MAX_SYMBOLS = 6
 
 
 @dataclass
@@ -183,28 +186,26 @@ def run_identity_suite(
     t0 = time.monotonic()
     report = VerificationReport("identities", n_max, seed=seed)
 
-    table = en.CoefficientTable(n_max)
+    en._level(n_max)  # an order out of range fails before the sweep
     for n in range(n_max + 1):
-        _identity_graph_checks(report, table, n)
+        _identity_graph_checks(report, n)
     _identity_tree_checks(report)
     _identity_calculus_checks(report, seed)
     _identity_word_checks(report, word_samples, seed)
     return _finish(report, t0)
 
 
-def _identity_graph_checks(
-    report: VerificationReport, table: en.CoefficientTable, n: int
-) -> None:
-    W = table.words(n)
-    rows, index = table.distinct(n)
+def _identity_graph_checks(report: VerificationReport, n: int) -> None:
+    W = en.words(n)
+    rows, index = en.distinct(n)
     masks = np.arange(len(W), dtype=np.uint32)
     comp = en.component_count_table(n)
 
     # q(2) = 2^n and q(-1) = +/- 2^k
     report.record_mask_failures(
-        n, masks, table.evaluate(n, 2) == 2**n, "q(2) != 2^order"
+        n, masks, en.evaluate(n, 2) == 2**n, "q(2) != 2^order"
     )
-    at_minus_1 = np.abs(table.evaluate(n, -1))
+    at_minus_1 = np.abs(en.evaluate(n, -1))
     pow2 = (at_minus_1 != 0) & ((at_minus_1 & (at_minus_1 - 1)) == 0)
     report.record_mask_failures(n, masks, pow2, "q(-1) not a signed power of two")
 
@@ -216,9 +217,9 @@ def _identity_graph_checks(
     report.record_mask_failures(n, masks, const_ok, "constant term wrong")
 
     # lowest degree = component count; degree bounds
-    deg = table.degrees(n)
+    deg = en.degrees(n)
     report.record_mask_failures(
-        n, masks, table.lowest_degrees(n) == comp,
+        n, masks, en.lowest_degrees(n) == comp,
         "lowest nonzero degree != component count",
     )
     report.record_mask_failures(
@@ -229,7 +230,7 @@ def _identity_graph_checks(
         "degree below independence number",
     )
     if n >= 1:
-        prev_deg = table.degrees(n - 1)
+        prev_deg = en.degrees(n - 1)
         for v in range(n):
             sub = prev_deg[en.delete_vertex_masks(masks, v, n)]
             report.record_mask_failures(
@@ -237,7 +238,7 @@ def _identity_graph_checks(
             )
 
     if n >= 2:
-        prev = table.words(n - 1)
+        prev = en.words(n - 1)
         for a in range(n):
             P = {b: _pivot_table(n, a, b) for b in range(n) if b != a}
             for b, Pb in P.items():
@@ -294,9 +295,9 @@ def _identity_graph_checks(
     # one word product per graph, exact since q(G1) q(G2) at 2 is 2^n
     for n2 in range(1, n // 2 + 1):
         n1 = n - n2
-        big = table.words(n1)
+        big = en.words(n1)
         big_masks = np.arange(len(big), dtype=np.int64)
-        small = table.words(n2)
+        small = en.words(n2)
         small_masks = np.arange(len(small), dtype=np.int64)
         for mask2, shifted in enumerate(en.relabel_masks(small_masks, range(n1, n), n2)):
             union = big_masks | shifted
@@ -443,25 +444,22 @@ def run_orbit_suite(max_symbols: int = 5) -> VerificationReport:
     interlace-graph sets, and interlace graphs sharing a digraph have
     identical digraph sets.
     """
-    if max_symbols > en.TABLE_MAX_ORDER:
-        raise TooLargeError(f"orbit laws stop at {en.TABLE_MAX_ORDER} symbols")
+    if max_symbols > ORBIT_MAX_SYMBOLS:
+        raise TooLargeError(f"orbit laws stop at {ORBIT_MAX_SYMBOLS} symbols")
     t0 = time.monotonic()
     report = VerificationReport("orbits", max_symbols)
-    table = en.CoefficientTable(max_symbols)
     for n in range(1, max_symbols + 1):
-        _orbit_checks_for_order(report, table, n)
+        _orbit_checks_for_order(report, n)
     return _finish(report, t0)
 
 
-def _orbit_checks_for_order(
-    report: VerificationReport, table: en.CoefficientTable, n: int
-) -> None:
+def _orbit_checks_for_order(report: VerificationReport, n: int) -> None:
     # per vertex pair ab, the map H -> (H^{ab})_{ab} on edge masks, 0 without ab
     swap_pivot = {
         (a, b): en.label_swap_masks(_pivot_table(n, a, b), a, b, n)
         for a, b in combinations(range(n), 2)
     }
-    q1_of_mask = table.evaluate(n, 1)
+    q1_of_mask = en.evaluate(n, 1)
 
     # pass 1: group canonical words by digraph
     groups: dict[bytes, list[tuple[int, ...]]] = {}
@@ -542,22 +540,20 @@ def run_extremal_suite(n_max: int = 7) -> VerificationReport:
     """
     t0 = time.monotonic()
     report = VerificationReport("extremal", n_max)
-    table = en.CoefficientTable(n_max)
+    en._level(n_max)  # an order out of range fails before the sweep
     fib = [0, 1]
     while len(fib) < en.pair_count(n_max) + 4:
         fib.append(fib[-1] + fib[-2])
     fib = np.array(fib, dtype=np.int64)
     for n in range(n_max + 1):
-        _extremal_checks_for_order(report, table, n, fib)
+        _extremal_checks_for_order(report, n, fib)
     return _finish(report, t0)
 
 
-def _extremal_checks_for_order(
-    report: VerificationReport, table: en.CoefficientTable, n: int, fib: np.ndarray
-) -> None:
-    rows, index = table.distinct(n)
+def _extremal_checks_for_order(report: VerificationReport, n: int, fib: np.ndarray) -> None:
+    rows, index = en.distinct(n)
     masks = np.arange(len(index), dtype=np.int64)
-    q1 = table.evaluate(n, 1)
+    q1 = en.evaluate(n, 1)
     edges = en.edge_count_table(n)
     comp = en.component_count_table(n)
     isolated = en.isolated_count_table(n)
@@ -626,7 +622,7 @@ def _extremal_checks_for_order(
     # exist at every order.  The check is kept as stated and reports the
     # counterexamples; the true converse (solid path plus complete
     # components gives two terms) is checked separately below.
-    terms = table.nonzero_term_counts(n)
+    terms = en.nonzero_term_counts(n)
     two_term = masks[terms == 2]
     # kind="table": the sort method calls np.unique, whose lazy import of
     # numpy.ma here pinned freed heap and raised the sweep's peak RSS
@@ -779,10 +775,10 @@ def run_conjecture_suite(
     """
     t0 = time.monotonic()
     report = VerificationReport("conjectures", n_max, seed=seed)
-    table = en.CoefficientTable(n_max)
+    en._level(n_max)  # an order out of range fails before the sweep
     for n in range(n_max + 1):
         # one verdict per distinct polynomial, gathered back to the masks
-        rows, index = table.distinct(n)
+        rows, index = en.distinct(n)
         ok = np.array([_unimodal_pair(IntPolynomial(r)) for r in rows.tolist()])
         masks = np.arange(len(index), dtype=np.int64)
         report.record_mask_failures(

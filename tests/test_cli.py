@@ -140,10 +140,7 @@ def test_enumerate_negative_order(capsys):
 def test_enumerate_refuses_large_without_force(capsys):
     code, _, err = run_cli(capsys, "enumerate", "9")
     assert code == 2
-    assert err == (
-        "error: order 9 exceeds 7, the largest order enumerate covers"
-        " (2^C(n,2) graphs)\n"
-    )
+    assert err == "error: order 9 exceeds 7, the largest order of the tables\n"
 
 
 def test_enumerate_force_flag_rejected(capsys):
@@ -232,9 +229,24 @@ def test_verify_rejects_words_n_max_above_table_cap(capsys, monkeypatch):
         raise AssertionError("a suite ran before the flag was checked")
 
     monkeypatch.setattr("interlacepoly.cli.run_identity_suite", must_not_run)
-    code, out, err = run_cli(capsys, "verify", "identities", "--words-n-max", "8")
+    for symbols in ("7", "8"):
+        code, out, err = run_cli(capsys, "verify", "identities", "--words-n-max", symbols)
+        assert code == 2 and out == ""
+        assert err == f"error: --words-n-max must be at most 6, got {symbols}\n"
+
+
+@pytest.mark.parametrize("suite", ["identities", "extremal", "conjectures"])
+def test_verify_rejects_an_order_above_the_tables_before_any_sweep(
+    suite, capsys, monkeypatch
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a sweep ran before the order was checked")
+
+    for reader in ("words", "distinct"):
+        monkeypatch.setattr(f"interlacepoly.enumeration.{reader}", must_not_run)
+    code, out, err = run_cli(capsys, "verify", suite, "--n-max", "8")
     assert code == 2 and out == ""
-    assert err == "error: --words-n-max must be at most 7, got 8\n"
+    assert err == "error: order 8 exceeds 7, the largest order of the tables\n"
 
 
 def test_usage_errors(tmp_path, capsys):

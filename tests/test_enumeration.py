@@ -71,10 +71,9 @@ def test_all_graphs_counts():
 
 
 def test_table_matches_recursion_exhaustively():
-    table = en.CoefficientTable(4)
     cache: dict = {}
     for n in range(5):
-        rows = table.table(n)
+        rows = en.coefficient_table(n)
         for mask in range(1 << en.pair_count(n)):
             g = en.graph_of_mask(n, mask)
             expected = interlace_polynomial(g, cache).coeffs
@@ -83,16 +82,11 @@ def test_table_matches_recursion_exhaustively():
             assert all(c == 0 for c in row[len(expected) :])
 
 
-@pytest.fixture(scope="module")
-def table7():
-    return en.CoefficientTable(7)
-
-
-def test_table_matches_recursion_sampled_orders_5_to_7(table7):
+def test_table_matches_recursion_sampled_orders_5_to_7():
     cache: dict = {}
     rng = random.Random(11)
     for n in (5, 6, 7):
-        rows = table7.table(n)
+        rows = en.coefficient_table(n)
         for _ in range(120):
             mask = rng.randrange(1 << en.pair_count(n))
             g = en.graph_of_mask(n, mask)
@@ -100,18 +94,18 @@ def test_table_matches_recursion_sampled_orders_5_to_7(table7):
             row = tuple(int(c) for c in rows[mask])
             assert row[: len(expected)] == expected
             assert all(c == 0 for c in row[len(expected) :])
-    digest = hashlib.sha256(table7.table(7).tobytes()).hexdigest()
+    digest = hashlib.sha256(en.coefficient_table(7).tobytes()).hexdigest()
     assert digest == TABLE_7_SHA256
 
 
-def test_packed_words_hold_the_coefficient_rows(table7):
+def test_packed_words_hold_the_coefficient_rows():
     """Byte d of the q(G;256) word is the degree-d coefficient, every
     coefficient stays within the no-carry bound 2^(k-d), and the distinct
     rows gathered through the index give the table."""
     for k in range(8):
-        words = table7.words(k)
-        rows, index = table7.distinct(k)
-        T = table7.table(k)
+        words = en.words(k)
+        rows, index = en.distinct(k)
+        T = en.coefficient_table(k)
         assert words.dtype == np.dtype("<u8") and T.dtype == np.int64
         assert T.shape == (1 << en.pair_count(k), k + 1)
         packed = words.view(np.uint8).reshape(-1, 8)
@@ -125,40 +119,39 @@ def test_packed_words_hold_the_coefficient_rows(table7):
         assert (rows[index] == T).all()
 
 
-def test_distinct_rows_are_the_sorted_words_and_their_ranks(table7):
+def test_distinct_rows_are_the_sorted_words_and_their_ranks():
     """The build keys each mask by the pair of rows it adds; its rows and
     index equal those of one sort and search over the words."""
     for k in range(8):
-        words = table7.words(k)
+        words = en.words(k)
         u = np.unique(words)
         index = np.searchsorted(u, words)
         rows = u.view(np.uint8).reshape(-1, 8)[:, : k + 1].astype(np.int64)
-        got_rows, got_index = table7.distinct(k)
+        got_rows, got_index = en.distinct(k)
         assert got_rows.dtype == rows.dtype and got_index.dtype == index.dtype
         assert np.array_equal(got_rows, rows) and np.array_equal(got_index, index)
 
 
 def test_table_order_cap():
-    with pytest.raises(TooLargeError):
-        en.CoefficientTable(8)
-    with pytest.raises(ValueError, match="at least 0"):
-        en.CoefficientTable(-1)
-    shared = en.CoefficientTable(7)
-    for k in range(8):  # the shared words and distinct rows now reach order 7
-        shared.distinct(k)
-    table = en.CoefficientTable(3)
+    """Every reader of the tables answers orders 0..7 and rejects the rest,
+    the shared levels already built to order 7 or not."""
     readers = (
-        table.words, table.distinct, table.table, lambda n: table.evaluate(n, 2),
-        table.degrees, table.lowest_degrees, table.nonzero_term_counts,
+        en.words, en.distinct, en.coefficient_table, lambda n: en.evaluate(n, 2),
+        en.degrees, en.lowest_degrees, en.nonzero_term_counts,
+        en.component_count_table,
     )
-    for order in (-1, 4, 7):
-        for read in readers:
-            with pytest.raises(ValueError, match=rf"0\.\.3, got {order}"):
-                read(order)
+    for read in readers:
+        with pytest.raises(TooLargeError, match="order 8 exceeds 7, the largest"):
+            read(8)
+        with pytest.raises(ValueError, match="order must be at least 0, got -1"):
+            read(-1)
+        for k in range(8):  # one entry per mask; distinct gives (rows, index)
+            out = read(k)
+            assert len(out[1] if isinstance(out, tuple) else out) == 1 << en.pair_count(k)
 
 
 def test_table_order_6_bytes_are_pinned():
-    digest = hashlib.sha256(en.CoefficientTable(6).table(6).tobytes()).hexdigest()
+    digest = hashlib.sha256(en.coefficient_table(6).tobytes()).hexdigest()
     assert digest == TABLE_6_SHA256
 
 
@@ -178,14 +171,15 @@ def _run_fresh(*parts: str) -> str:
     return proc.stdout
 
 
-def test_shared_tables_are_read_only(table7):
-    """Each order stores one (distinct words, index) pair; the per-mask
-    words are gathered through the index on read."""
+def test_shared_tables_are_read_only():
+    """Each order stores one (distinct words, index, component counts)
+    triple; the per-mask words are gathered through the index on read."""
+    en.words(7)
     for k in range(8):
-        u, index = en._LEVELS[k]
-        assert en.CoefficientTable(k).distinct(k)[1] is index
-        assert np.array_equal(table7.words(k), u[index])
-        shared = (u, index, en.tripartite_toggles(k), en.component_count_table(k))
+        u, index, comp = en._LEVELS[k]
+        assert en.distinct(k)[1] is index and en.component_count_table(k) is comp
+        assert np.array_equal(en.words(k), u[index])
+        shared = (u, index, comp, en.tripartite_toggles(k))
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
@@ -225,8 +219,8 @@ def test_every_level_is_built_once_per_process():
 
         en._build_level = counting("words", en._build_level)
         en._component_level = counting("components", en._component_level)
-        en.CoefficientTable(7)
-        en.CoefficientTable(5)
+        en.words(7)
+        en.distinct(5)
         en.component_count_table(7)
         digests = [digest(call) for call in ({", ".join(SUITE_CALLS)},)]
         shared = [en.component_count_table(n) is en.component_count_table(n)
@@ -251,7 +245,7 @@ def test_concurrent_first_builds_agree_with_the_pins():
 
         def build(n):
             start.wait()
-            tables[n] = en.CoefficientTable(n)
+            tables[n] = en.coefficient_table(n)
 
         threads = [threading.Thread(target=build, args=(n,)) for n in (6, 7)]
         for t in threads:
@@ -261,7 +255,7 @@ def test_concurrent_first_builds_agree_with_the_pins():
             assert not t.is_alive()
         print(len(en._LEVELS))
         for n in (6, 7):
-            print(hashlib.sha256(tables[n].table(n).tobytes()).hexdigest())
+            print(hashlib.sha256(tables[n].tobytes()).hexdigest())
     """)
     assert out.split() == ["8", TABLE_6_SHA256, TABLE_7_SHA256]
 

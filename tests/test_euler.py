@@ -133,6 +133,16 @@ def test_word_layer_rejects_negative_sizes():
         list(canonical_word_tuples(-2))
 
 
+def test_a_bool_is_neither_a_symbol_nor_a_coefficient():
+    # bool is a subclass of int, but False/True are not the symbols 0/1
+    with pytest.raises(ValueError, match="dense ints 0..1, got False"):
+        DoubleOccurrenceWord((False, True, False, True))
+    for coeffs in ((True, False, True), (1, False)):
+        with pytest.raises(TypeError, match="got bool"):
+            IntPolynomial(coeffs)
+    assert str(DoubleOccurrenceWord((0, 1, 0, 1))) == "0 1 0 1"
+
+
 def test_digraph_weak_connectivity():
     # connected over every vertex; a free loop is a component of its own
     assert digraph_from_word(W("1 2 3 1 3 4 2 4")).is_connected()

@@ -55,7 +55,7 @@ def test_orbit_suite_small_scale_passes():
     rep = run_orbit_suite(max_symbols=5)
     assert rep.passed and rep.checked == 97961
     with pytest.raises(TooLargeError):
-        run_orbit_suite(max_symbols=en.TABLE_MAX_ORDER + 1)
+        run_orbit_suite(max_symbols=suites.ORBIT_MAX_SYMBOLS + 1)
 
 
 def test_orbit_suite_checks_the_interlace_graph_of_a_stray_word(monkeypatch):
@@ -145,10 +145,9 @@ def _is_solid_path_plus_complete(g: Graph) -> bool:
 
 
 def test_solid_path_set_matches_structural_classifier():
-    table = en.CoefficientTable(6)
     for n in range(7):
         solid = _solid_path_plus_complete_masks(n)
-        two_term = np.flatnonzero(table.nonzero_term_counts(n) == 2)
+        two_term = np.flatnonzero(en.nonzero_term_counts(n) == 2)
         for mask in map(int, two_term):
             g = en.graph_of_mask(n, mask)
             assert (mask in solid) == _is_solid_path_plus_complete(g), (n, mask)
