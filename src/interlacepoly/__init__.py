@@ -80,8 +80,6 @@ from .polynomials import (
     IntPolynomial,
     NegativeCoefficientError,
     NonzeroRemainderError,
-    circuit_coeffs_from_interlace,
-    interlace_coeffs_from_circuit,
     is_log_concave,
     is_unimodal,
 )

@@ -131,16 +131,13 @@ class DoubleOccurrenceWord:
 
 
 def _canonical_rotation(syms: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of a word over 0..n-1: the lesser of the two
+    that start at an occurrence of 0, its least symbol."""
     if not syms:
         return syms
-    m = min(syms)
-    best = None
-    for i, s in enumerate(syms):
-        if s == m:
-            rot = syms[i:] + syms[:i]
-            if best is None or rot < best:
-                best = rot
-    return best
+    i = syms.index(0)
+    j = syms.index(0, i + 1)
+    return min(syms[i:] + syms[:i], syms[j:] + syms[:j])
 
 
 # -- word primitives on symbol tuples ----------------------------------------

@@ -10,11 +10,9 @@ needed by the interlace / circuit-partition machinery:
 
 * argument shifts p(x) -> p(x+c), computed by exact binomial re-expansion;
 * exact division by (x - 1), used to pass between the circuit partition
-  polynomial r and the Martin polynomial m = r(x-1)/(x-1);
-* the mutually inverse coefficient transforms between the interlace
-  polynomial q and the circuit partition polynomial r,
-      r_k = sum_l  a_l * C(l, k-1),
-      a_k = sum_l  r_{l+1} * (-1)^(l-k) * C(l, k);
+  polynomial r and the Martin polynomial m = r(x-1)/(x-1); with the
+  shifts, this is the one route between the interlace polynomial q and
+  r = x q(1+x);
 * a unimodality test (an internal zero is a failure) for the
   coefficient-shape conjectures.
 """
@@ -22,8 +20,7 @@ needed by the interlace / circuit-partition machinery:
 from __future__ import annotations
 
 from itertools import zip_longest
-from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 NEG_INF = float("-inf")
 
@@ -235,35 +232,3 @@ def is_log_concave(p: IntPolynomial) -> bool:
     """True if a_k^2 >= a_{k-1} a_{k+1} holds across the whole sequence."""
     c = p.coeffs
     return all(c[k] * c[k] >= c[k - 1] * c[k + 1] for k in range(1, len(c) - 1))
-
-
-def circuit_coeffs_from_interlace(a: Sequence[int]) -> list[int]:
-    """Map interlace coefficients a to circuit-partition coefficients r.
-
-    r_k = sum_l a_l * C(l, k-1); equivalently r is the coefficient vector
-    of x * q(1+x) when a is the coefficient vector of q.
-    """
-    if not a:
-        return []
-    out = [0] * (len(a) + 1)
-    for l, al in enumerate(a):
-        if al:
-            for k in range(1, l + 2):
-                out[k] += al * comb(l, k - 1)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-def interlace_coeffs_from_circuit(r: Sequence[int]) -> list[int]:
-    """Inverse transform: a_k = sum_l r_{l+1} * (-1)^(l-k) * C(l, k)."""
-    if not r:
-        return []
-    out = [0] * max(len(r) - 1, 0)
-    for l in range(len(r) - 1):
-        rl = r[l + 1]
-        if rl:
-            for k in range(l + 1):
-                out[k] += rl * (-1) ** (l - k) * comb(l, k)
-    while out and out[-1] == 0:
-        out.pop()
-    return out

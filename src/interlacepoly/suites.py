@@ -11,9 +11,9 @@ Everything is deterministic given (n_max, samples, seed); elapsed_ms is
 the one wall-clock field in a report.
 
 Suite internals lean on the vectorized coefficient tables from
-`enumeration` for graph sweeps, and on flat tuple/bytes encodings for the
-word sweeps; both are cross-checked against the object-level operations
-in the unit tests.
+`enumeration` for graph sweeps; the orbit sweep works on word tuples and
+keys each digraph by the bytes of its sorted arcs.  Both are
+cross-checked against the object-level operations in the unit tests.
 """
 
 from __future__ import annotations
@@ -50,8 +50,10 @@ from .euler import (
 from .graphs import (
     Graph,
     TooLargeError,
+    component_count,
     delete_vertex,
     edgeless_graph,
+    independence_number,
     matching_number,
     substitute,
     to_graph6,
@@ -66,13 +68,7 @@ from .interlace import (
     vertex_duplication_polynomial,
     vertex_multiplication_polynomial,
 )
-from .polynomials import (
-    IntPolynomial,
-    circuit_coeffs_from_interlace,
-    interlace_coeffs_from_circuit,
-    is_log_concave,
-    is_unimodal,
-)
+from .polynomials import IntPolynomial, is_log_concave, is_unimodal
 
 MAX_VIOLATIONS_PER_CHECK = 20
 # 7 symbols have about 48.6 M canonical words: held as 14-tuples by the orbit
@@ -178,10 +174,11 @@ def run_identity_suite(
 
     Word-side, over exhaustive words of <= 4 symbols plus ``word_samples``
     seeded random words of 3..8 symbols: the bridge x q(H;1+x) = r(D;x),
-    q(H) = m(D), Euler counts by brute force / BEST / q(H;1), the
-    coefficient transforms, the anti-circuit evaluation r(D;-2), the
-    transition-system count r(D;1) = 2^n, and digraph preservation under
-    transposition.
+    q(H) = m(D), lowest degree = component count and degree >=
+    independence number of H (found without the engine), Euler counts by
+    brute force / BEST / q(H;1), the anti-circuit evaluation r(D;-2), the
+    transition-system count r(D;1) = 2^n, the split of r over the two
+    resolutions of a vertex, and digraph preservation under transposition.
     """
     t0 = time.monotonic()
     report = VerificationReport("identities", n_max, seed=seed)
@@ -405,10 +402,11 @@ def _identity_word_checks(
         r = circuit_partition_polynomial(d)
         report.check(q.shift_argument(1).mul_x() == r, word, "x q(H;1+x) != r(D;x)")
         report.check(_martin_from_circuit_partition(r) == q, word, "q(H) != m(D)")
-        ok = circuit_coeffs_from_interlace(list(q.coeffs)) == list(r.coeffs)
-        report.check(ok, word, "coefficient transform q->r mismatch")
-        ok = interlace_coeffs_from_circuit(list(r.coeffs)) == list(q.coeffs)
-        report.check(ok, word, "coefficient transform r->q mismatch")
+        # the engine's q(H) against invariants of H found without it
+        ok = q.lowest_degree() == component_count(h)
+        report.check(ok, word, "lowest degree of q(H) != component count of H")
+        ok = q.degree >= independence_number(h)
+        report.check(ok, word, "deg q(H) below independence number of H")
         brute = len(euler_circuits_brute(d))
         ok = brute == euler_circuit_count_best(d) == q.evaluate(1) == r.coefficient(1)
         report.check(ok, word, "Euler circuit counts disagree")
@@ -471,10 +469,10 @@ def _orbit_checks_for_order(report: VerificationReport, n: int) -> None:
     def hmask(pairs) -> int:
         return sum(1 << en.pair_index(a, b) for a, b, *_ in pairs)
 
-    # pass 2: per digraph, each word's interlaced pairs and H mask once;
-    # transpositions keep the digraph, and H commutes with pivot-plus-swap
+    # pass 2, once per digraph: each word's interlaced pairs and H mask;
+    # transpositions keep the digraph, H commutes with pivot-plus-swap, and
+    # the circuit orbit of the first word is everything
     hset_of_group: dict[bytes, frozenset[int]] = {}
-    rep_hmask: dict[bytes, int] = {}
     for dk, words in groups.items():
         pairs_of = {w: _interlaced_pairs(*_occurrences(w)) for w in words}
         h_of = {w: hmask(pairs) for w, pairs in pairs_of.items()}
@@ -488,20 +486,15 @@ def _orbit_checks_for_order(report: VerificationReport, n: int) -> None:
                 ok = ht == int(swap_pivot[(a, b)][h])
                 report.check(ok, w, f"H(transpose {a},{b}) != swapped pivot")
         hset_of_group[dk] = frozenset(h_of.values())
-        rep_hmask[dk] = h_of[words[0]]
-
-    # pass 3: per digraph, the circuit orbit is everything
-    for dkey, words in groups.items():
         rep = words[0]
         best = _best_cofactor(n, zip(rep, rep[1:] + rep[:1]))
         orbit = _circuit_orbit(rep)
-        q1 = int(q1_of_mask[rep_hmask[dkey]])
         report.check(len(orbit) == best, rep, "circuit orbit size != BEST count")
-        report.check(best == q1, rep, "BEST count != q(H;1)")
+        report.check(best == int(q1_of_mask[h_of[rep]]), rep, "BEST count != q(H;1)")
         ok = set(map(_canonical_rotation, orbit.values())) == set(words)
         report.check(ok, rep, "circuit orbit words != digraph's words")
 
-    # pass 4: interlace-graph sets and digraph sets partition each other
+    # pass 3: interlace-graph sets and digraph sets partition each other
     groups_of_h: dict[int, set[bytes]] = {}
     for dk, hs in hset_of_group.items():
         for h in hs:
@@ -511,7 +504,8 @@ def _orbit_checks_for_order(report: VerificationReport, n: int) -> None:
         detail = "digraphs sharing an interlace graph differ in H-sets"
         report.check(ok, f"order-{n} interlace mask {h}", detail)
     for dk, hs in hset_of_group.items():
-        ok = len({frozenset(groups_of_h[h]) for h in hs}) == 1
+        first = groups_of_h[next(iter(hs))]
+        ok = all(groups_of_h[h] == first for h in hs)
         detail = "interlace graphs sharing a digraph differ in D-sets"
         report.check(ok, groups[dk][0], detail)
 
@@ -808,6 +802,5 @@ def run_conjecture_suite(
 def _unimodal_pair(q: IntPolynomial) -> tuple[bool, bool]:
     """Whether q and x q(1+x) are unimodal (internal zeros count as
     failures)."""
-    r = IntPolynomial(circuit_coeffs_from_interlace(list(q.coeffs)))
-    return is_unimodal(q), is_unimodal(r)
+    return is_unimodal(q), is_unimodal(q.shift_argument(1).mul_x())
 

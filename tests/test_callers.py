@@ -20,7 +20,6 @@ PACKAGE = ROOT / "src" / "interlacepoly"
 ALLOWED = {
     # oracles: independent brute-force routes that the tests compare with
     "pivot_brute": "the pivot by its definition, the oracle for pivot",
-    "independence_number": "brute-force oracle for the degree lower bound",
     # documented builders and closed forms of the paper's graph families
     "disjoint_union": "builder; q is multiplicative over disjoint unions",
     "induced_subgraph": "builder; the pivot recursion's subgraphs",

@@ -59,6 +59,18 @@ def test_word_construction_and_canonical_rotation():
         DoubleOccurrenceWord((0, 0, 2, 2))  # ids must be dense
     with pytest.raises(ValueError):
         DoubleOccurrenceWord((0, 0, 1, 1, 1, 1, 0, 0))
+    # the canonical rotation is the least of all rotations
+    rng = random.Random(52)
+    words = [t for n in range(5) for t in canonical_word_tuples(n)]
+    for _ in range(300):
+        syms = list(range(rng.randint(1, 8))) * 2
+        rng.shuffle(syms)
+        words.append(tuple(syms))
+    for t in words:
+        for i in range(len(t)):
+            w = t[i:] + t[:i]
+            least = min(w[k:] + w[:k] for k in range(len(w))) if w else w
+            assert euler._canonical_rotation(w) == least
 
 
 def test_word_parse_and_render():

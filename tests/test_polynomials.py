@@ -8,8 +8,6 @@ from interlacepoly.polynomials import (
     IntPolynomial,
     NegativeCoefficientError,
     NonzeroRemainderError,
-    circuit_coeffs_from_interlace,
-    interlace_coeffs_from_circuit,
     is_log_concave,
     is_unimodal,
 )
@@ -91,19 +89,21 @@ def test_divide_exact_by_x_minus_1():
 
 
 def test_coefficient_transforms():
-    # q = 2x for a single edge; r = 2x + 2x^2
-    assert circuit_coeffs_from_interlace([0, 2]) == [0, 2, 2]
+    # the q <-> r transforms are shifts: q = 2x for a single edge gives
+    # r = x q(1+x) = 2x + 2x^2
+    assert poly(0, 2).shift_argument(1).mul_x() == poly(0, 2, 2)
     # q = x^2 for two isolated vertices; r = x(1+x)^2
-    assert circuit_coeffs_from_interlace([0, 0, 1]) == [0, 1, 2, 1]
-    assert interlace_coeffs_from_circuit([0, 2, 2]) == [0, 2]
-    # transforms agree with r = x * q(1+x)
+    assert poly(0, 0, 1).shift_argument(1).mul_x() == poly(0, 1, 2, 1)
+    # r -> q is r(x-1)/(x-1), and it inverts q -> r
     rng = random.Random(17)
     for _ in range(200):
-        a = [rng.randrange(9) for _ in range(rng.randrange(7))]
-        q = IntPolynomial(a)
+        q = IntPolynomial(rng.randrange(9) for _ in range(rng.randrange(7)))
         r = q.shift_argument(1).mul_x()
-        assert circuit_coeffs_from_interlace(a) == list(r.coeffs)
-        assert interlace_coeffs_from_circuit(list(r.coeffs)) == list(q.coeffs)
+        assert r.shift_argument(-1).divide_exact_by_x_minus_1() == q
+    # 5 + 2x + 2x^2 has r_0 != 0, so it is no x q(1+x): the route raises
+    # rather than drop r_0
+    with pytest.raises(NonzeroRemainderError):
+        poly(5, 2, 2).shift_argument(-1).divide_exact_by_x_minus_1()
 
 
 def test_unimodality_report():

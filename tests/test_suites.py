@@ -90,6 +90,29 @@ def test_identity_suite_numbers_a_words_symbols_from_1(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "name, detail",
+    [
+        ("component_count", "lowest degree of q(H) != component count of H"),
+        ("independence_number", "deg q(H) below independence number of H"),
+    ],
+)
+def test_identity_suite_checks_q_of_h_against_invariants_of_h(monkeypatch, name, detail):
+    # an invariant of H that is one too many fails its own check, and only
+    # that one, on every word; the count of checks does not move
+    checked = run_identity_suite(n_max=1, word_samples=0).checked
+    invariant = getattr(suites, name)
+    monkeypatch.setattr(suites, name, lambda h: invariant(h) + 1)
+    rep = run_identity_suite(n_max=1, word_samples=0)
+    assert rep.checked == checked
+    assert [v["detail"] for v in rep.violations] == [detail] * 337
+    assert [v["graph6"] for v in rep.violations] == [
+        " ".join(str(s + 1) for s in t)
+        for n in range(1, 5)
+        for t in canonical_word_tuples(n)
+    ]
+
+
 def test_extremal_suite_known_two_term_counterexamples():
     rep = run_extremal_suite(n_max=5)
     # every violation is the (false) two-term classification; all the
