@@ -10,31 +10,42 @@ orders.  Coefficients are nonnegative integers, q(G;2) = 2^n, the lowest
 nonzero degree equals the number of components, and q is multiplicative
 over disjoint unions.
 
-The recursion here is exponential but heavily pruned:
+Two engines run the same reduction, chosen by the input's order alone:
 
-* the graph is split into components first: each isolated vertex
-  contributes a factor x, and the other components are computed
-  independently and their polynomials multiplied;
-* results are memoized on the exact labeled adjacency encoding, which is
-  shared aggressively because pivot/delete branches revisit the same
-  labeled subgraphs;
-* in a graph of order >= LEAF_TABLE_MIN_ORDER (T = 16, the least order at
-  which a call that builds the table is no slower), each subproblem of
-  order <= 6 is one lookup, ahead of the split and the memo, in a table
-  keyed by pair mask and converted once per process from the order <= 6
-  distinct rows that enumeration shares with every other reader.
+* below FRONTIER_MIN_ORDER (12), a memoized recursion.  The graph is split
+  into components first: each isolated vertex contributes a factor x, and
+  the other components are computed independently and multiplied.
+  Results are memoized on the exact labeled adjacency rows, a plain dict
+  from row tuples to packed ints q(G; 2^64), 64-bit lane d holding the
+  degree-d coefficient: a sum is +, a disjoint union *, a factor x << 64.
+  No lane carries, since every lane of a sum or product is a coefficient
+  of q of a real graph, at most 2^(n-1) < 2^64.  The pivot edge: a of
+  minimum degree (ties by index), b its lowest-indexed neighbor.  This
+  engine reads no table, so the tests that compare the engine with the
+  tables of ``enumeration`` (all below order 8) compare two routes.
+* from FRONTIER_MIN_ORDER on, a frontier: the reduction run level by
+  level on numpy rows, top-down, one vertex per level, as
+  ``enumeration._build_level`` runs it bottom-up over all masks.  The
+  graph is relabeled once in breadth-first order from vertex 0, so that
+  the vertices farthest from 0 go first; an entry (s, rows, c) stands for
+  c x^s q(G) with G on 0..k-1.  Removing v = k - 1 turns an entry into
+  (s + 1, G - v, c) if N(v) is empty, else into (s, G - v, c) and
+  (s, (G - v) + T[N(v), N(b) | b], c), b = min N(v), where + toggles the
+  complete tripartite graph T on X - Y, Y - X and X & Y.  Entries with
+  equal (s, rows) merge by summing c, which takes the memo's place.  At
+  order 6 each entry is one gather from the order-6 table, and c times
+  its coefficient d adds into coefficient s + d.  Every c is at most a
+  coefficient of q(G), so all of it stays exact in uint64.
 
-The pivot edge is chosen deterministically: first endpoint of minimum
-degree (ties by index), second its lowest-indexed neighbor.  Deleting a
-low-degree vertex tends to disconnect and shrink subproblems.
-
-The engine's values are packed ints q(G; 2^64), 64-bit lane d holding the
-degree-d coefficient: a sum is +, a disjoint union *, a factor x << 64.
-No lane carries: q(G;2) = sum c_d 2^d = 2^n with c_d >= 0 and c_0 = 0
-gives c_d <= 2^(n-1) < 2^64 for n <= 64, and every lane of a sum or
-product is a coefficient of q of a real graph.  A memo cache is a plain
-dict from adjacency-row tuples to these opaque values; leaves never reach
-it.  Pass one in to share work across calls; each worker should own its.
+Why the threshold sits at 12: from order 11 on, the recursion's memo is
+a binary tree with no reuse, and the interpreter pays for every node,
+while the frontier pays a fixed cost per level (about 0.06 ms at order
+14).  Per graph, the frontier wins from order 10 on dense G(n, 1/2) and
+from about 13 on random word graphs and G(n, 0.2); at 12 and 13 sparse
+graphs lose up to 0.15 ms and dense ones gain more.  The suites' small
+graphs and words of up to 10 symbols stay on the recursion.  A ``cache``
+serves only the recursion: pass one in to share work across calls below
+the threshold, one per worker.
 
 Paths are indexed by edge count: path_polynomial(n) is the path with n
 edges and n + 1 vertices.
@@ -42,20 +53,22 @@ edges and n + 1 vertices.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import combinations
 from typing import MutableMapping, Sequence
 
-from .enumeration import distinct
+import numpy as np
+
+from .enumeration import distinct, pair_index
 from .graphs import (
     Graph,
     TooLargeError,
     _delete_rows,
     _induced_rows,
-    _mask_of_rows,
     _pivot_rows,
     _row_components,
     complete_graph,
     edgeless_graph,
+    relabel,
     substitute,
 )
 from .polynomials import IntPolynomial
@@ -63,20 +76,8 @@ from .polynomials import IntPolynomial
 MemoCache = MutableMapping[tuple[int, ...], int]
 
 LANE = 64  # bits per coefficient of a packed value q(G; 2^64)
-LEAF_ORDER = 6
-LEAF_TABLE_MIN_ORDER = 16
-
-
-@lru_cache(maxsize=None)
-def _leaf_table() -> tuple[list[int], ...]:
-    """``leaves[k][mask]``: packed q of every graph of order k <= LEAF_ORDER,
-    packed once per distinct coefficient row."""
-    leaves = []
-    for k in range(LEAF_ORDER + 1):
-        rows, index = distinct(k)
-        packed = [sum(c << LANE * d for d, c in enumerate(row)) for row in rows.tolist()]
-        leaves.append([packed[i] for i in index.tolist()])
-    return tuple(leaves)
+FRONTIER_MIN_ORDER = 12
+LEAF_ORDER = 6  # the frontier's leaves: one gather from the order-6 table
 
 
 def _unpack(value: int, n: int) -> IntPolynomial:
@@ -84,7 +85,7 @@ def _unpack(value: int, n: int) -> IntPolynomial:
     return IntPolynomial(value >> LANE * d & (1 << LANE) - 1 for d in range(n + 1))
 
 
-def _q_connected(rows: tuple[int, ...], memo: MemoCache, leaves: Sequence) -> int:
+def _q_connected(rows: tuple[int, ...], memo: MemoCache) -> int:
     """Packed q of a connected graph with at least one edge, given as rows."""
     got = memo.get(rows)
     if got is not None:
@@ -96,40 +97,101 @@ def _q_connected(rows: tuple[int, ...], memo: MemoCache, leaves: Sequence) -> in
         if d < da:
             a, da = v, d
     b = (rows[a] & -rows[a]).bit_length() - 1
-    left = _q_rows(_delete_rows(rows, a), memo, leaves)
-    right = _q_rows(_delete_rows(_pivot_rows(rows, a, b), b), memo, leaves)
+    left = _q_rows(_delete_rows(rows, a), memo)
+    right = _q_rows(_delete_rows(_pivot_rows(rows, a, b), b), memo)
     res = memo[rows] = left + right
     return res
 
 
-def _q_rows(rows: tuple[int, ...], memo: MemoCache, leaves: Sequence = ()) -> int:
-    """Packed q: a leaf lookup below order len(leaves), else the product
-    over the components, where an isolated vertex gives x."""
+def _q_rows(rows: tuple[int, ...], memo: MemoCache) -> int:
+    """Packed q: the product over the components, where an isolated vertex
+    gives x."""
     k = len(rows)
-    if k < len(leaves):
-        return leaves[k][_mask_of_rows(rows)]
     full, isolated, res = (1 << k) - 1, 0, 1
     for comp in _row_components(rows):
         if not comp & (comp - 1):
             isolated += 1
         elif comp == full:
-            return _q_connected(rows, memo, leaves)
+            return _q_connected(rows, memo)
         else:
-            res *= _q_connected(_induced_rows(rows, comp), memo, leaves)
+            res *= _q_connected(_induced_rows(rows, comp), memo)
     return res << LANE * isolated
 
 
-def interlace_polynomial(g: Graph, cache: MemoCache | None = None) -> IntPolynomial:
-    """Compute q(G) exactly by memoized pivot reduction.
+def _bfs_order(rows: Sequence[int]) -> list[int]:
+    """The vertices in breadth-first order from vertex 0, each further
+    component from its lowest vertex."""
+    n, order, seen = len(rows), [], 0
+    for root in range(n):
+        if not seen >> root & 1:
+            seen |= 1 << root
+            queue = [root]
+            for u in queue:
+                new = rows[u] & ~seen
+                seen |= new
+                queue += [w for w in range(n) if new >> w & 1]
+            order += queue
+    return order
 
-    Practical up to order ~25 for dense graphs; far beyond for forests
-    and sparse graphs.  Pass a dict as ``cache`` to reuse work across
-    calls.
+
+def _masks_of_rows(rows: np.ndarray) -> np.ndarray:
+    """The pair mask of every graph in a (graphs, k) uint64 row array: the
+    array twin of ``graphs._mask_of_rows``."""
+    masks = np.zeros(len(rows), dtype=np.uint64)
+    for i, j in combinations(range(rows.shape[1]), 2):
+        masks |= (rows[:, j] >> i & 1) << pair_index(i, j)
+    return masks
+
+
+def _merge(entries: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entry rows, each with the sum of its c: a sort of a void
+    view of the rows (np.unique would import numpy.ma), then reduceat."""
+    order = np.argsort(entries.view(np.dtype((np.void, 8 * entries.shape[1]))).ravel())
+    entries = entries[order]
+    first = np.ones(len(entries), dtype=bool)
+    np.any(entries[1:] != entries[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    return entries[starts], np.add.reduceat(c[order], starts)
+
+
+def _q_frontier(g: Graph) -> IntPolynomial:
+    """q(G) by the frontier (see the module docstring), for order > LEAF_ORDER."""
+    n, perm = g.n, [0] * g.n
+    for i, v in enumerate(_bfs_order(g.rows)):
+        perm[v] = i
+    # entries[e] = (s, rows of G on 0..k-1) stands for c[e] x^s q(G)
+    entries = np.array([[0, *relabel(g, perm).rows]], dtype=np.uint64)
+    c = np.ones(1, dtype=np.uint64)
+    for k in range(n, LEAF_ORDER, -1):
+        X = entries[:, k]  # N(v), v = k - 1
+        entries = entries[:, :k]
+        entries[:, 1:] &= np.uint64((1 << k - 1) - 1)  # G - v
+        entries[:, 0] += X == 0  # an isolated v is a factor x
+        hit = np.flatnonzero(X)
+        X, toggled = X[hit], entries[hit]
+        low = X & ~X + 1  # {b}, b = min N(v)
+        Y = toggled[np.arange(len(hit)), 1 + np.bitwise_count(low - 1)] | low
+        for u in range(k - 1):  # row by row, so temporaries stay one column
+            toggled[:, 1 + u] ^= (X >> u & 1) * Y ^ (Y >> u & 1) * X
+        entries, c = _merge(np.concatenate([entries, toggled]), np.concatenate([c, c[hit]]))
+    rows, index = distinct(LEAF_ORDER)
+    terms = c[:, None] * rows.astype(np.uint64)[index[_masks_of_rows(entries[:, 1:])]]
+    coeffs = np.zeros(n + 1, dtype=np.uint64)
+    np.add.at(coeffs, entries[:, :1].astype(np.intp) + np.arange(LEAF_ORDER + 1), terms)
+    return IntPolynomial(coeffs.tolist())
+
+
+def interlace_polynomial(g: Graph, cache: MemoCache | None = None) -> IntPolynomial:
+    """Compute q(G) exactly by pivot reduction: the memoized recursion below
+    order FRONTIER_MIN_ORDER, the frontier from there on.
+
+    The frontier takes dense graphs of order 26 in about half a second,
+    and forests and sparse graphs far beyond.  Pass a dict as ``cache`` to
+    reuse the recursion's work across calls; the frontier does not read it.
     """
-    if cache is None:
-        cache = {}
-    leaves = _leaf_table() if g.n >= LEAF_TABLE_MIN_ORDER else ()
-    return _unpack(_q_rows(g.rows, cache, leaves), g.n)
+    if g.n >= FRONTIER_MIN_ORDER:
+        return _q_frontier(g)
+    return _unpack(_q_rows(g.rows, {} if cache is None else cache), g.n)
 
 
 # -- closed forms ----------------------------------------------------------

@@ -499,13 +499,17 @@ def _orbit_checks_for_order(report: VerificationReport, n: int) -> None:
     for dk, hs in hset_of_group.items():
         for h in hs:
             groups_of_h.setdefault(h, set()).add(dk)
+    interned: dict[frozenset[bytes], frozenset[bytes]] = {}
+    d_set_of_h = {}  # equal D-sets are one object, so comparing them is `is`
     for h, dks in groups_of_h.items():
         ok = len({hset_of_group[dk] for dk in dks}) == 1
         detail = "digraphs sharing an interlace graph differ in H-sets"
         report.check(ok, f"order-{n} interlace mask {h}", detail)
+        frozen = frozenset(dks)
+        d_set_of_h[h] = interned.setdefault(frozen, frozen)
     for dk, hs in hset_of_group.items():
-        first = groups_of_h[next(iter(hs))]
-        ok = all(groups_of_h[h] == first for h in hs)
+        first = d_set_of_h[next(iter(hs))]
+        ok = all(d_set_of_h[h] is first for h in hs)
         detail = "interlace graphs sharing a digraph differ in D-sets"
         report.check(ok, groups[dk][0], detail)
 

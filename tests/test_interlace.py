@@ -33,9 +33,11 @@ from interlacepoly.graphs import (
     substitute,
 )
 from interlacepoly.interlace import (
+    FRONTIER_MIN_ORDER,
     LEAF_ORDER,
-    LEAF_TABLE_MIN_ORDER,
+    _masks_of_rows,
     _q_rows,
+    _unpack,
     clique_substitution_polynomial,
     complete_bipartite_polynomial,
     complete_multipartite_polynomial,
@@ -262,10 +264,11 @@ def test_nullity_oracle_matches_closed_forms():
 
 
 def test_leaf_path_matches_nullity_oracle():
-    """Graphs of order >= LEAF_TABLE_MIN_ORDER read their small subproblems
-    from the leaf table; check them against a pivot-free oracle."""
+    """Graphs of order >= FRONTIER_MIN_ORDER go to the frontier, which reads
+    its order-6 leaves from the table; check them against a pivot-free
+    oracle."""
     rng = random.Random(53)
-    t = LEAF_TABLE_MIN_ORDER
+    t = FRONTIER_MIN_ORDER
     graphs = [random_graph(rng, n) for n in (t, t, t + 1)]
     for order in (t, t, t + 1):
         # components of order <= LEAF_ORDER, one of them an isolated
@@ -282,16 +285,16 @@ def test_leaf_path_matches_nullity_oracle():
 
 
 def test_leaf_key_is_the_enumeration_mask():
-    # with the identity as leaf table, the lookup returns its own key
-    probe = tuple(range(1 << en.pair_count(k)) for k in range(LEAF_ORDER + 1))
+    # the frontier's vectorized leaf key of every graph of order <= 6
     for k in range(LEAF_ORDER + 1):
-        for g in en.all_graphs(k):
-            assert _q_rows(g.rows, {}, probe) == en.mask_of_graph(g)
+        graphs = list(en.all_graphs(k))
+        rows = np.array([g.rows for g in graphs], dtype=np.uint64).reshape(len(graphs), k)
+        assert _masks_of_rows(rows).tolist() == [en.mask_of_graph(g) for g in graphs]
 
 
 def test_order_64_closed_forms():
-    # coefficients up to 2^63 and 65 lanes: a narrower lane or a wrong
-    # shift would show here
+    # coefficients up to 2^63 and 65 coefficients, on the frontier: a
+    # narrower lane, a signed sum or a wrong shift would show here
     assert q(complete_graph(64)) == complete_polynomial(64)
     assert q(star_graph(63)) == star_polynomial(63)
     assert q(edgeless_graph(64)) == edgeless_polynomial(64)
@@ -300,38 +303,39 @@ def test_order_64_closed_forms():
 def test_memo_shared_below_and_above_leaf_order():
     rng = random.Random(59)
     shared: dict = {}
-    orders = [8, LEAF_TABLE_MIN_ORDER, 11, LEAF_TABLE_MIN_ORDER + 1, 13, 7]
+    orders = [8, FRONTIER_MIN_ORDER, 11, FRONTIER_MIN_ORDER + 1, 13, 7]
     for n in orders:
         g = random_graph(rng, n)
         assert interlace_polynomial(g, shared) == interlace_polynomial(g, {})
 
 
 def test_small_graphs_build_no_leaf_table():
-    """In a fresh interpreter, graphs below LEAF_TABLE_MIN_ORDER (the
-    circuits workload's 10-symbol words among them) never build the table,
-    and building it imports no numpy module beyond numpy's own import (as
-    np.unique does numpy.ma)."""
+    """In a fresh interpreter, graphs below FRONTIER_MIN_ORDER (the circuits
+    workload's 10-symbol words among them) build no table, the first
+    frontier call builds the orders <= 6 and not order 7, and neither
+    imports a numpy module beyond numpy's own import (as np.unique does
+    numpy.ma)."""
     script = textwrap.dedent(
         """
         import random
         import sys
         from interlacepoly import DoubleOccurrenceWord, interlace_graph
+        from interlacepoly import enumeration
         from interlacepoly.graphs import Graph
-        from interlacepoly.interlace import (
-            LEAF_TABLE_MIN_ORDER, _leaf_table, interlace_polynomial)
+        from interlacepoly.interlace import FRONTIER_MIN_ORDER, interlace_polynomial
 
         rng = random.Random(3)
         word = [s for s in range(10) for _ in (0, 1)]
         rng.shuffle(word)
         graphs = [interlace_graph(DoubleOccurrenceWord(word))]
-        for n in range(1, LEAF_TABLE_MIN_ORDER):
+        for n in range(1, FRONTIER_MIN_ORDER):
             pairs = [(i, j) for j in range(n) for i in range(j)]
             graphs.append(Graph(n, [e for e in pairs if rng.random() < 0.5]))
         for g in graphs:
             interlace_polynomial(g)
-        print(_leaf_table.cache_info().currsize, end=" ")
-        interlace_polynomial(Graph(LEAF_TABLE_MIN_ORDER))
-        print(_leaf_table.cache_info().currsize, end=" ")
+        print(len(enumeration._LEVELS), end=" ")
+        interlace_polynomial(Graph(FRONTIER_MIN_ORDER, [(0, 1), (1, 2)]))
+        print(len(enumeration._LEVELS), end=" ")
         print("numpy.ma" in sys.modules)
         """
     )
@@ -345,7 +349,81 @@ def test_small_graphs_build_no_leaf_table():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "1", "False"]
+    assert proc.stdout.split() == ["1", "7", "False"]  # orders 0..6, not 7
+
+
+def recursion(g):
+    """q(G) by the table-free memoized recursion, whatever the order."""
+    return _unpack(_q_rows(g.rows, {}), g.n)
+
+
+def shuffled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_frontier_matches_recursion_on_seeded_gnp():
+    rng = random.Random(67)
+    for n in range(FRONTIER_MIN_ORDER, 21):
+        for p in (0.2, 0.5, 0.8):
+            g = random_graph(rng, n, p)
+            assert interlace_polynomial(g) == recursion(g), (n, p)
+
+
+def test_frontier_matches_recursion_on_structured_graphs():
+    rng = random.Random(71)
+
+    def tree(n):
+        return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+    def with_chords(g, m):
+        rows = list(g.rows)
+        while m:
+            u, v = rng.sample(range(g.n), 2)
+            if not rows[u] >> v & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                m -= 1
+        return Graph.from_rows(rows)
+
+    def grid(r, c):
+        right = [(i * c + j, i * c + j + 1) for i in range(r) for j in range(c - 1)]
+        down = [(i * c + j, i * c + j + c) for i in range(r - 1) for j in range(c)]
+        return Graph(r * c, right + down)
+
+    k7 = complete_graph(7)
+    corpus = [
+        path_graph(63),
+        cycle_graph(64),
+        complete_graph(64),
+        star_graph(63),
+        edgeless_graph(64),
+        tree(64),
+        with_chords(tree(40), 10),
+        grid(5, 6),
+        random_graph(rng, 30, 0.1),
+        random_graph(rng, 40, 0.06),
+        disjoint_union(disjoint_union(k7, k7), k7),
+    ]
+    for g in corpus:
+        h = shuffled(rng, g)
+        assert interlace_polynomial(h) == recursion(h), g
+
+
+def test_frontier_matches_recursion_on_unions_with_isolated_vertices():
+    rng = random.Random(73)
+    for n, isolated in ((9, 3), (11, 1), (12, 2), (14, 5), (7, 8)):
+        g = shuffled(rng, disjoint_union(random_graph(rng, n), edgeless_graph(isolated)))
+        assert interlace_polynomial(g) == recursion(g), (n, isolated)
+
+
+def test_frontier_matches_nullity_oracle():
+    rng = random.Random(79)
+    for n in range(FRONTIER_MIN_ORDER, 15):
+        for p in (0.2, 0.5, 0.8):
+            g = random_graph(rng, n, p)
+            assert interlace_polynomial(g) == q_by_nullity(g), (n, p)
 
 
 def test_substitute():
