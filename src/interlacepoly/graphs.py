@@ -9,19 +9,23 @@ values can be shared between concurrent workers without synchronization.
 The pivot G^{ab} of a graph on an edge ab partitions the vertices other
 than a and b into four classes -- adjacent to a only, to b only, to both,
 to neither -- and toggles every pair lying in two *different* classes
-among the first three.  Pairs involving a or b, and pairs inside a single
-class, are untouched; in particular the neighborhoods of a and b
-themselves are identical in G and G^{ab}.
+among the first three.  That is the complete tripartite graph T[X, Y] on
+X - Y, Y - X and X & Y for X = N(a) - b and Y = N(b) - a, toggled by
+``_toggle_rows``, which XORs row u with Y if u is in X and with X if u
+is in Y.  Pairs involving a or b, and pairs inside a single class, are
+untouched; in particular the neighborhoods of a and b themselves are
+identical in G and G^{ab}.
 
 Pivoting about a non-edge is rejected: every identity consuming pivots
 assumes an edge, and a silent non-edge pivot is a bug magnet.
 
-Pivot, vertex deletion, induced subgraphs and components are each written
-once, on bare adjacency rows (``_pivot_rows``, ``_delete_rows``,
-``_induced_rows``, ``_row_components``); the recursive engine calls those
-directly, and the Graph functions validate their arguments and wrap them.
-The pair mask (bit C(j,2) + i per edge ij, i < j) is written once too, in
-``_mask_of_rows`` and ``_rows_of_mask``; a graph6 body is that mask.
+The toggle, vertex deletion, induced subgraphs and components are each
+written once, on bare adjacency rows (``_toggle_rows``, ``_delete_rows``,
+``_induced_rows``, ``_row_components``); the recursive engine calls the
+toggle directly, and the Graph functions validate their arguments and
+wrap them.  The pair mask (bit C(j,2) + i per edge ij, i < j) is written
+once too, in ``_mask_of_rows`` and ``_rows_of_mask``; a graph6 body is
+that mask.
 """
 
 from __future__ import annotations
@@ -200,27 +204,13 @@ def pivot(g: Graph, a: int, b: int) -> Graph:
         raise ValueError(f"invalid vertex pair ({a},{b})")
     if not g.has_edge(a, b):
         raise NotAnEdgeError(f"({a},{b}) is not an edge")
-    return Graph.from_rows(_pivot_rows(g.rows, a, b))
+    return Graph.from_rows(_toggle_rows(g.rows, g.rows[a] ^ 1 << b, g.rows[b] ^ 1 << a))
 
 
-def _pivot_rows(rows: Sequence[int], a: int, b: int) -> list[int]:
-    """Rows of the pivot on edge ab (unchecked)."""
-    # classes among vertices other than a, b
-    ra, rb = rows[a], rows[b]
-    c1 = ra & ~rb & ~(1 << b)  # neighbors of a only
-    c2 = rb & ~ra & ~(1 << a)  # neighbors of b only
-    c3 = ra & rb  # neighbors of both
-    t1, t2, t3 = c2 | c3, c1 | c3, c1 | c2
-    out = list(rows)
-    for v in range(len(rows)):
-        bit = 1 << v
-        if c1 & bit:
-            out[v] ^= t1
-        elif c2 & bit:
-            out[v] ^= t2
-        elif c3 & bit:
-            out[v] ^= t3
-    return out
+def _toggle_rows(rows: Sequence[int], X: int, Y: int) -> tuple[int, ...]:
+    """Rows with T[X, Y] toggled: row u XORed with Y if u is in X and with X
+    if u is in Y (unchecked)."""
+    return tuple(r ^ (X >> u & 1) * Y ^ (Y >> u & 1) * X for u, r in enumerate(rows))
 
 
 def pivot_brute(g: Graph, a: int, b: int) -> Graph:

@@ -10,42 +10,41 @@ orders.  Coefficients are nonnegative integers, q(G;2) = 2^n, the lowest
 nonzero degree equals the number of components, and q is multiplicative
 over disjoint unions.
 
-Two engines run the same reduction, chosen by the input's order alone:
+The engine takes one step, as ``enumeration._build_level`` does over all
+masks of one order: remove the last vertex v of a graph G on 0..k-1.  If
+N(v) is empty, q(G) = x q(G - v); otherwise
 
-* below FRONTIER_MIN_ORDER (12), a memoized recursion.  The graph is split
-  into components first: each isolated vertex contributes a factor x, and
-  the other components are computed independently and multiplied.
-  Results are memoized on the exact labeled adjacency rows, a plain dict
-  from row tuples to packed ints q(G; 2^64), 64-bit lane d holding the
-  degree-d coefficient: a sum is +, a disjoint union *, a factor x << 64.
-  No lane carries, since every lane of a sum or product is a coefficient
-  of q of a real graph, at most 2^(n-1) < 2^64.  The pivot edge: a of
-  minimum degree (ties by index), b its lowest-indexed neighbor.  This
-  engine reads no table, so the tests that compare the engine with the
-  tables of ``enumeration`` (all below order 8) compare two routes.
-* from FRONTIER_MIN_ORDER on, a frontier: the reduction run level by
-  level on numpy rows, top-down, one vertex per level, as
-  ``enumeration._build_level`` runs it bottom-up over all masks.  The
-  graph is relabeled once in breadth-first order from vertex 0, so that
-  the vertices farthest from 0 go first; an entry (s, rows, c) stands for
-  c x^s q(G) with G on 0..k-1.  Removing v = k - 1 turns an entry into
-  (s + 1, G - v, c) if N(v) is empty, else into (s, G - v, c) and
-  (s, (G - v) + T[N(v), N(b) | b], c), b = min N(v), where + toggles the
-  complete tripartite graph T on X - Y, Y - X and X & Y.  Entries with
-  equal (s, rows) merge by summing c, which takes the memo's place.  At
-  order 6 each entry is one gather from the order-6 table, and c times
-  its coefficient d adds into coefficient s + d.  Every c is at most a
-  coefficient of q(G), so all of it stays exact in uint64.
+    q(G) = q(G - v) + q((G - v) + T[N(v), N(b) | b]),   b = min N(v),
 
-Why the threshold sits at 12: from order 11 on, the recursion's memo is
-a binary tree with no reuse, and the interpreter pays for every node,
-while the frontier pays a fixed cost per level (about 0.06 ms at order
-14).  Per graph, the frontier wins from order 10 on dense G(n, 1/2) and
-from about 13 on random word graphs and G(n, 0.2); at 12 and 13 sparse
-graphs lose up to 0.15 ms and dense ones gain more.  The suites' small
-graphs and words of up to 10 symbols stay on the recursion.  A ``cache``
-serves only the recursion: pass one in to share work across calls below
-the threshold, one per worker.
+where + toggles the complete tripartite graph T on X - Y, Y - X and
+X & Y: that is G^{vb} - b with v renamed b.  The step runs on one of two
+schedules, chosen by the input's order alone:
+
+* below FRONTIER_MIN_ORDER (12), depth first on Python-int rows, on the
+  labels as given, memoized on the exact rows in a plain dict from row
+  tuples to packed ints q(G; 2^64), 64-bit lane d holding the degree-d
+  coefficient: a sum is +, a factor x << 64.  No lane carries, since
+  every lane is a coefficient of q of a real graph, at most 2^(n-1) <
+  2^64.  This schedule reads no table, so the tests that compare the
+  engine with the tables of ``enumeration`` (all below order 8) compare
+  two routes.
+* from FRONTIER_MIN_ORDER on, breadth first: a frontier run level by
+  level on numpy rows.  The graph is relabeled once in breadth-first
+  order from vertex 0, so that the vertices farthest from 0 go first; an
+  entry (s, rows, c) stands for c x^s q(G), and one level applies the
+  step to every entry at once.  Entries with equal (s, rows) merge by
+  summing c, which takes the memo's place.  At order 6 each entry is one
+  gather from the order-6 table, and c times its coefficient d adds into
+  coefficient s + d.  Every c is at most a coefficient of q(G), so all
+  of it stays exact in uint64.
+
+Why the threshold sits at 12: the frontier pays a fixed cost per level
+(about 0.06 ms at order 14), the recursion a Python call per subproblem.
+Per graph, the frontier wins from order 12 on dense G(n, 1/2), and from
+about 15 on random word graphs and G(n, 0.2); the suites' small graphs
+and words of up to 10 symbols stay on the recursion.  A ``cache`` serves
+only the recursion: pass one in to share work across calls below the
+threshold, one per worker.
 
 Paths are indexed by edge count: path_polynomial(n) is the path with n
 edges and n + 1 vertices.
@@ -53,19 +52,16 @@ edges and n + 1 vertices.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import MutableMapping, Sequence
 
 import numpy as np
 
-from .enumeration import distinct, pair_index
+from .enumeration import distinct
 from .graphs import (
     Graph,
     TooLargeError,
-    _delete_rows,
     _induced_rows,
-    _pivot_rows,
-    _row_components,
+    _toggle_rows,
     complete_graph,
     edgeless_graph,
     relabel,
@@ -85,61 +81,50 @@ def _unpack(value: int, n: int) -> IntPolynomial:
     return IntPolynomial(value >> LANE * d & (1 << LANE) - 1 for d in range(n + 1))
 
 
-def _q_connected(rows: tuple[int, ...], memo: MemoCache) -> int:
-    """Packed q of a connected graph with at least one edge, given as rows."""
+def _q_rows(rows: tuple[int, ...], memo: MemoCache) -> int:
+    """Packed q of the graph with these rows: the step on the last vertex,
+    depth first, memoized on the rows.  A call makes at most two calls one
+    order down, so an order-k graph takes at most 2^(k+1) - 1 calls."""
+    if not rows:
+        return 1
     got = memo.get(rows)
     if got is not None:
         return got
-    # pivot edge: a of minimum degree, b its lowest neighbor
-    a, da = 0, 65
-    for v, r in enumerate(rows):
-        d = r.bit_count()
-        if d < da:
-            a, da = v, d
-    b = (rows[a] & -rows[a]).bit_length() - 1
-    left = _q_rows(_delete_rows(rows, a), memo)
-    right = _q_rows(_delete_rows(_pivot_rows(rows, a, b), b), memo)
-    res = memo[rows] = left + right
+    k = len(rows) - 1
+    X, full = rows[k], (1 << k) - 1
+    rest = tuple(r & full for r in rows[:k])  # G - v
+    if X:
+        b = X & -X
+        Y = rest[b.bit_length() - 1] | b
+        res = _q_rows(rest, memo) + _q_rows(_toggle_rows(rest, X, Y), memo)
+    else:
+        res = _q_rows(rest, memo) << LANE
+    memo[rows] = res
     return res
 
 
-def _q_rows(rows: tuple[int, ...], memo: MemoCache) -> int:
-    """Packed q: the product over the components, where an isolated vertex
-    gives x."""
-    k = len(rows)
-    full, isolated, res = (1 << k) - 1, 0, 1
-    for comp in _row_components(rows):
-        if not comp & (comp - 1):
-            isolated += 1
-        elif comp == full:
-            return _q_connected(rows, memo)
-        else:
-            res *= _q_connected(_induced_rows(rows, comp), memo)
-    return res << LANE * isolated
-
-
-def _bfs_order(rows: Sequence[int]) -> list[int]:
-    """The vertices in breadth-first order from vertex 0, each further
-    component from its lowest vertex."""
-    n, order, seen = len(rows), [], 0
+def _bfs_relabel(g: Graph) -> Graph:
+    """g with its vertices renamed in breadth-first order from vertex 0,
+    each further component from its lowest vertex."""
+    n, perm, seen, i = g.n, [0] * g.n, 0, 0
     for root in range(n):
         if not seen >> root & 1:
             seen |= 1 << root
             queue = [root]
             for u in queue:
-                new = rows[u] & ~seen
+                perm[u], i = i, i + 1
+                new = g.rows[u] & ~seen
                 seen |= new
                 queue += [w for w in range(n) if new >> w & 1]
-            order += queue
-    return order
+    return relabel(g, perm)
 
 
 def _masks_of_rows(rows: np.ndarray) -> np.ndarray:
     """The pair mask of every graph in a (graphs, k) uint64 row array: the
     array twin of ``graphs._mask_of_rows``."""
     masks = np.zeros(len(rows), dtype=np.uint64)
-    for i, j in combinations(range(rows.shape[1]), 2):
-        masks |= (rows[:, j] >> i & 1) << pair_index(i, j)
+    for j in range(1, rows.shape[1]):  # row j's bits below j go to C(j,2) + i
+        masks |= (rows[:, j] & (1 << j) - 1) << (j * (j - 1) >> 1)
     return masks
 
 
@@ -156,11 +141,9 @@ def _merge(entries: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _q_frontier(g: Graph) -> IntPolynomial:
     """q(G) by the frontier (see the module docstring), for order > LEAF_ORDER."""
-    n, perm = g.n, [0] * g.n
-    for i, v in enumerate(_bfs_order(g.rows)):
-        perm[v] = i
+    n = g.n
     # entries[e] = (s, rows of G on 0..k-1) stands for c[e] x^s q(G)
-    entries = np.array([[0, *relabel(g, perm).rows]], dtype=np.uint64)
+    entries = np.array([[0, *_bfs_relabel(g).rows]], dtype=np.uint64)
     c = np.ones(1, dtype=np.uint64)
     for k in range(n, LEAF_ORDER, -1):
         X = entries[:, k]  # N(v), v = k - 1
@@ -171,7 +154,7 @@ def _q_frontier(g: Graph) -> IntPolynomial:
         X, toggled = X[hit], entries[hit]
         low = X & ~X + 1  # {b}, b = min N(v)
         Y = toggled[np.arange(len(hit)), 1 + np.bitwise_count(low - 1)] | low
-        for u in range(k - 1):  # row by row, so temporaries stay one column
+        for u in range(k - 1):  # _toggle_rows per column: temporaries stay small
             toggled[:, 1 + u] ^= (X >> u & 1) * Y ^ (Y >> u & 1) * X
         entries, c = _merge(np.concatenate([entries, toggled]), np.concatenate([c, c[hit]]))
     rows, index = distinct(LEAF_ORDER)

@@ -23,6 +23,7 @@ from interlacepoly import enumeration as en
 from interlacepoly.graphs import (
     Graph,
     TooLargeError,
+    _toggle_rows,
     component_count,
     component_masks,
     delete_vertex,
@@ -321,6 +322,28 @@ def test_tripartite_toggles_match_a_pair_by_pair_construction():
                 apart = (cls[i] != 0) & (cls[j] != 0) & (cls[i] != cls[j])
                 expected |= apart.astype(np.int64) << en.pair_index(i, j)
         assert np.array_equal(en.tripartite_toggles(n), expected), n
+
+
+def test_row_toggle_is_the_mask_toggle():
+    """One T in two representations: ``graphs._toggle_rows`` on rows gives
+    the mask XORed with T[X, Y], for every graph of order <= 4 and every
+    (X, Y), and for seeded graphs and sets at orders 5-7."""
+    for n in range(5):
+        T = en.tripartite_toggles(n)
+        for g in en.all_graphs(n):
+            mask = en.mask_of_graph(g)
+            for X in range(1 << n):
+                for Y in range(1 << n):
+                    got = en.mask_of_graph(Graph.from_rows(_toggle_rows(g.rows, X, Y)))
+                    assert got == mask ^ T[X, Y], (g, X, Y)
+    rng = random.Random(17)
+    for n in (5, 6, 7):
+        T = en.tripartite_toggles(n)
+        for _ in range(300):
+            g = en.graph_of_mask(n, rng.randrange(1 << en.pair_count(n)))
+            X, Y = rng.randrange(1 << n), rng.randrange(1 << n)
+            got = en.mask_of_graph(Graph.from_rows(_toggle_rows(g.rows, X, Y)))
+            assert got == en.mask_of_graph(g) ^ T[X, Y], (g, X, Y)
 
 
 def test_structure_tables_match_per_graph_functions():

@@ -35,6 +35,7 @@ from interlacepoly.graphs import (
 from interlacepoly.interlace import (
     FRONTIER_MIN_ORDER,
     LEAF_ORDER,
+    _bfs_relabel,
     _masks_of_rows,
     _q_rows,
     _unpack,
@@ -263,6 +264,23 @@ def test_nullity_oracle_matches_closed_forms():
     assert q_by_nullity(edgeless_graph(4)) == edgeless_polynomial(4)
 
 
+def test_recursion_matches_nullity_oracle_at_every_order_it_serves():
+    """The last-vertex recursion on the given labels, against the pivot-free
+    oracle, at every order below FRONTIER_MIN_ORDER: seeded G(n, p), and
+    disjoint unions with isolated vertices and shuffled labels."""
+    rng = random.Random(61)
+    graphs = [
+        random_graph(rng, n, p)
+        for n in range(1, FRONTIER_MIN_ORDER)
+        for p in (0.2, 0.5, 0.8)
+    ]
+    for n, isolated in ((2, 2), (3, 1), (5, 3), (6, 2), (8, 3), (9, 2), (7, 4)):
+        g = disjoint_union(random_graph(rng, n), edgeless_graph(isolated))
+        graphs.append(shuffled(rng, g))
+    for g in graphs:
+        assert _unpack(_q_rows(g.rows, {}), g.n) == q_by_nullity(g), g
+
+
 def test_leaf_path_matches_nullity_oracle():
     """Graphs of order >= FRONTIER_MIN_ORDER go to the frontier, which reads
     its order-6 leaves from the table; check them against a pivot-free
@@ -353,8 +371,10 @@ def test_small_graphs_build_no_leaf_table():
 
 
 def recursion(g):
-    """q(G) by the table-free memoized recursion, whatever the order."""
-    return _unpack(_q_rows(g.rows, {}), g.n)
+    """q(G) by the table-free memoized recursion, whatever the order, on
+    the frontier's breadth-first labels: on a shuffled long path the
+    last-vertex step would otherwise meet exponentially many subgraphs."""
+    return _unpack(_q_rows(_bfs_relabel(g).rows, {}), g.n)
 
 
 def shuffled(rng, g):
@@ -402,6 +422,7 @@ def test_frontier_matches_recursion_on_structured_graphs():
         tree(64),
         with_chords(tree(40), 10),
         grid(5, 6),
+        grid(6, 6),
         random_graph(rng, 30, 0.1),
         random_graph(rng, 40, 0.06),
         disjoint_union(disjoint_union(k7, k7), k7),
