@@ -48,7 +48,7 @@ from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, TooLargeError, _row_components
+from .graphs import Graph, TooLargeError, _bfs_components
 from .polynomials import IntPolynomial
 
 FORWARD, BACKWARD = 0, 1
@@ -333,7 +333,7 @@ class BalancedDigraph:
         for t, h in self.arcs:
             rows[t] |= 1 << h
             rows[h] |= 1 << t
-        return len(_row_components(rows)) <= 1
+        return len(_bfs_components(rows)) <= 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -659,32 +659,29 @@ def resolve_vertex(
 
 
 def canonical_word_tuples(n: int) -> Iterator[tuple[int, ...]]:
-    """All canonical double occurrence words on n symbols, as tuples.
+    """All canonical double occurrence words on n symbols, as tuples, in
+    increasing order.
 
-    Enumerates linear arrangements that start with symbol 0 and keeps
-    exactly the canonical rotation of each cyclic word.
+    Walks the linear arrangements that start with symbol 0 by next
+    permutation of the rest, and keeps exactly the canonical rotation of
+    each cyclic word.
     """
     if n < 0:
         raise ValueError(f"symbol count must be >= 0, got {n}")
-    if n == 0:
-        yield ()
-        return
-    counts = [1] + [2] * (n - 1)
-    length = 2 * n - 1
-    word = [0] * (2 * n)
-
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos > length:
-            w = tuple(word)
-            if _canonical_rotation(w) == w:
-                yield w
+    word = [s >> 1 for s in range(2 * n)]  # 0, then the rest in sorted order
+    last = 2 * n - 1
+    while True:
+        w = tuple(word)
+        if _canonical_rotation(w) == w:
+            yield w
+        i = last - 1  # the rightmost ascent of word[1:]
+        while i > 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i <= 0:
             return
-        for s in range(n):
-            if counts[s]:
-                counts[s] -= 1
-                word[pos] = s
-                yield from rec(pos + 1)
-                counts[s] += 1
-
-    yield from rec(1)
+        j = last
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = word[:i:-1]
 

@@ -19,13 +19,14 @@ identical in G and G^{ab}.
 Pivoting about a non-edge is rejected: every identity consuming pivots
 assumes an edge, and a silent non-edge pivot is a bug magnet.
 
-The toggle, vertex deletion, induced subgraphs and components are each
-written once, on bare adjacency rows (``_toggle_rows``, ``_delete_rows``,
-``_induced_rows``, ``_row_components``); the recursive engine calls the
-toggle directly, and the Graph functions validate their arguments and
+The toggle, induced subgraphs (vertex deletion among them) and the one
+breadth-first walk (components, digraph connectivity, the frontier's
+vertex order) are each written once, on bare adjacency rows
+(``_toggle_rows``, ``_induced_rows``, ``_bfs_components``); the engines
+call them directly, and the Graph functions validate their arguments and
 wrap them.  The pair mask (bit C(j,2) + i per edge ij, i < j) is written
 once too, in ``_mask_of_rows`` and ``_rows_of_mask``; a graph6 body is
-that mask.
+that mask, and so is the frontier's leaf key, on uint64 columns.
 """
 
 from __future__ import annotations
@@ -264,14 +265,6 @@ def label_swap(g: Graph, a: int, b: int) -> Graph:
 # -- structural operations ------------------------------------------------
 
 
-def _delete_rows(rows: Sequence[int], v: int) -> tuple[int, ...]:
-    """Rows with vertex v removed and the later indices shifted down."""
-    low = (1 << v) - 1
-    return tuple(
-        (r & low) | (r >> (v + 1) << v) for u, r in enumerate(rows) if u != v
-    )
-
-
 def _induced_rows(rows: Sequence[int], mask: int) -> tuple[int, ...]:
     """Rows induced on the vertices of ``mask``, compacted in order."""
     verts = []
@@ -289,25 +282,22 @@ def _induced_rows(rows: Sequence[int], mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _row_components(rows: Sequence[int]) -> list[int]:
-    """Vertex bitmasks of the components, in order of minimum vertex."""
-    out = []
-    rest = (1 << len(rows)) - 1
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        frontier = rows[v]
-        comp = frontier | 1 << v
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                u = (m & -m).bit_length() - 1
-                nxt |= rows[u]
-                m &= m - 1
-            frontier = nxt & ~comp
-            comp |= frontier
-        rest &= ~comp
-        out.append(comp)
+def _bfs_components(rows: Sequence[int]) -> list[list[int]]:
+    """The vertices of each component in breadth-first order from its lowest
+    vertex, neighbors taken in increasing order; components in order of
+    lowest vertex."""
+    out, seen = [], 0
+    for root in range(len(rows)):
+        if not seen >> root & 1:
+            seen |= 1 << root
+            queue = [root]
+            for u in queue:
+                new = rows[u] & ~seen
+                seen |= new
+                while new:
+                    queue.append((new & -new).bit_length() - 1)
+                    new &= new - 1
+            out.append(queue)
     return out
 
 
@@ -315,7 +305,7 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     """G - v: remove v; each later vertex u becomes u - 1."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    return Graph.from_rows(_delete_rows(g.rows, v))
+    return Graph.from_rows(_induced_rows(g.rows, (1 << g.n) - 1 ^ 1 << v))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -338,7 +328,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 
 def component_masks(g: Graph) -> list[int]:
     """Vertex bitmasks of the connected components, in order of minimum vertex."""
-    return _row_components(g.rows)
+    return [sum(1 << v for v in comp) for comp in _bfs_components(g.rows)]
 
 
 def component_count(g: Graph) -> int:
@@ -454,8 +444,9 @@ def format_edge_list(g: Graph) -> str:
 # x_{1,2}, ...); graph6 is N(n), then those bits in 6-bit groups, each + 63.
 
 
-def _mask_of_rows(rows: Sequence[int]) -> int:
-    """The pair mask of the graph with these adjacency rows."""
+def _mask_of_rows(rows):
+    """The pair mask of the graph with these adjacency rows: ints, or uint64
+    arrays with one graph per lane (exact while C(k,2) <= 64 for k rows)."""
     mask = j = 0  # row j's bits below j go to C(j,2) + i
     for r in rows:
         mask |= (r & (1 << j) - 1) << (j * (j - 1) >> 1)

@@ -60,7 +60,9 @@ from .enumeration import distinct
 from .graphs import (
     Graph,
     TooLargeError,
+    _bfs_components,
     _induced_rows,
+    _mask_of_rows,
     _toggle_rows,
     complete_graph,
     edgeless_graph,
@@ -106,26 +108,10 @@ def _q_rows(rows: tuple[int, ...], memo: MemoCache) -> int:
 def _bfs_relabel(g: Graph) -> Graph:
     """g with its vertices renamed in breadth-first order from vertex 0,
     each further component from its lowest vertex."""
-    n, perm, seen, i = g.n, [0] * g.n, 0, 0
-    for root in range(n):
-        if not seen >> root & 1:
-            seen |= 1 << root
-            queue = [root]
-            for u in queue:
-                perm[u], i = i, i + 1
-                new = g.rows[u] & ~seen
-                seen |= new
-                queue += [w for w in range(n) if new >> w & 1]
+    perm = [0] * g.n
+    for i, v in enumerate(v for comp in _bfs_components(g.rows) for v in comp):
+        perm[v] = i
     return relabel(g, perm)
-
-
-def _masks_of_rows(rows: np.ndarray) -> np.ndarray:
-    """The pair mask of every graph in a (graphs, k) uint64 row array: the
-    array twin of ``graphs._mask_of_rows``."""
-    masks = np.zeros(len(rows), dtype=np.uint64)
-    for j in range(1, rows.shape[1]):  # row j's bits below j go to C(j,2) + i
-        masks |= (rows[:, j] & (1 << j) - 1) << (j * (j - 1) >> 1)
-    return masks
 
 
 def _merge(entries: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +144,7 @@ def _q_frontier(g: Graph) -> IntPolynomial:
             toggled[:, 1 + u] ^= (X >> u & 1) * Y ^ (Y >> u & 1) * X
         entries, c = _merge(np.concatenate([entries, toggled]), np.concatenate([c, c[hit]]))
     rows, index = distinct(LEAF_ORDER)
-    terms = c[:, None] * rows.astype(np.uint64)[index[_masks_of_rows(entries[:, 1:])]]
+    terms = c[:, None] * rows.astype(np.uint64)[index[_mask_of_rows(entries[:, 1:].T)]]
     coeffs = np.zeros(n + 1, dtype=np.uint64)
     np.add.at(coeffs, entries[:, :1].astype(np.intp) + np.arange(LEAF_ORDER + 1), terms)
     return IntPolynomial(coeffs.tolist())
@@ -337,6 +323,9 @@ def vertex_multiplication_polynomial(
         cache = {}
     n = g.n
     total = IntPolynomial.zero()
+    # _q_rows, not interlace_polynomial: its step removes the last vertex v
+    # of L, and G[L] - v is G[L - v], so one memo serves all 2^n subsets;
+    # interlace_polynomial would send orders >= 12 to the memo-free frontier
     for subset in range(1 << n):
         sub_rows = _induced_rows(g.rows, subset)
         term = _unpack(_q_rows(sub_rows, cache), len(sub_rows))

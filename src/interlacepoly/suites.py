@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import combinations, permutations
 from operator import or_
@@ -48,6 +48,7 @@ from .euler import (
     transpose,
 )
 from .graphs import (
+    MAX_ORDER,
     Graph,
     TooLargeError,
     component_count,
@@ -101,14 +102,7 @@ class VerificationReport:
         return not self.violations
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "n_max": self.n_max,
-            "checked": self.checked,
-            "violations": self.violations,
-            "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
     # -- recording helpers ------------------------------------------------
 
@@ -141,6 +135,11 @@ class VerificationReport:
             self.record(to_graph6(en.graph_of_mask(n, int(masks[idx]))), detail)
         if len(bad) > MAX_VIOLATIONS_PER_CHECK:
             self.record("...", f"{len(bad) - MAX_VIOLATIONS_PER_CHECK} more: {detail}")
+
+
+def _check_count(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be at least 0, got {value}")
 
 
 def _finish(report: VerificationReport, t0: float) -> VerificationReport:
@@ -180,6 +179,7 @@ def run_identity_suite(
     transition-system count r(D;1) = 2^n, the split of r over the two
     resolutions of a vertex, and digraph preservation under transposition.
     """
+    _check_count("word_samples", word_samples)
     t0 = time.monotonic()
     report = VerificationReport("identities", n_max, seed=seed)
 
@@ -442,6 +442,7 @@ def run_orbit_suite(max_symbols: int = 5) -> VerificationReport:
     interlace-graph sets, and interlace graphs sharing a digraph have
     identical digraph sets.
     """
+    _check_count("max_symbols", max_symbols)
     if max_symbols > ORBIT_MAX_SYMBOLS:
         raise TooLargeError(f"orbit laws stop at {ORBIT_MAX_SYMBOLS} symbols")
     t0 = time.monotonic()
@@ -765,12 +766,18 @@ def run_conjecture_suite(
     Checks that the coefficients of q(G) and of x q(G; 1+x) are unimodal
     with no internal zeros: exhaustively for all labeled graphs of order
     <= n_max, then on ``random_samples`` seeded random graphs (edge
-    probability 1/2) of orders up to ``random_max_order``.  A violation
+    probability 1/2) of orders n_max + 1 .. ``random_max_order``.  A violation
     here is a counterexample to an open conjecture, not a bug indicator.
     Also confirms the known non-log-concavity witness 2x + x^2 + x^3 (the
     3-leaf star), so the unimodality evidence is not mistaken for the
     stronger property.
     """
+    _check_count("random_samples", random_samples)
+    if not n_max < random_max_order <= MAX_ORDER:
+        raise ValueError(
+            f"random_max_order must be in {n_max + 1}..{MAX_ORDER},"
+            f" got {random_max_order}"
+        )
     t0 = time.monotonic()
     report = VerificationReport("conjectures", n_max, seed=seed)
     en._level(n_max)  # an order out of range fails before the sweep

@@ -22,7 +22,7 @@ ALLOWED = {
     "pivot_brute": "the pivot by its definition, the oracle for pivot",
     # documented builders and closed forms of the paper's graph families
     "disjoint_union": "builder; q is multiplicative over disjoint unions",
-    "induced_subgraph": "builder; the pivot recursion's subgraphs",
+    "induced_subgraph": "builder; G[L], the terms of the vertex-multiplication sum",
     "format_edge_list": "writer matching the CLI's edge-list reader",
     "edgeless_polynomial": "closed form q(E_n) = x^n",
     "complete_polynomial": "closed form for K_n",

@@ -145,6 +145,14 @@ def test_word_layer_rejects_negative_sizes():
         list(canonical_word_tuples(-2))
 
 
+def test_word_enumeration_yields_in_increasing_order():
+    # the walk is a next-permutation walk: each word exceeds the last, so
+    # no word repeats and the orbit suite reads them in a fixed order
+    for n in range(6):
+        words = list(canonical_word_tuples(n))
+        assert all(a < b for a, b in zip(words, words[1:])), n
+
+
 def test_a_bool_is_neither_a_symbol_nor_a_coefficient():
     # bool is a subclass of int, but False/True are not the symbols 0/1
     with pytest.raises(ValueError, match="dense ints 0..1, got False"):

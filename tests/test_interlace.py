@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import deque
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -17,6 +18,7 @@ from interlacepoly import enumeration as en
 from interlacepoly.graphs import (
     Graph,
     TooLargeError,
+    _mask_of_rows,
     complete_bipartite_graph,
     complete_graph,
     component_count,
@@ -36,7 +38,6 @@ from interlacepoly.interlace import (
     FRONTIER_MIN_ORDER,
     LEAF_ORDER,
     _bfs_relabel,
-    _masks_of_rows,
     _q_rows,
     _unpack,
     clique_substitution_polynomial,
@@ -303,11 +304,40 @@ def test_leaf_path_matches_nullity_oracle():
 
 
 def test_leaf_key_is_the_enumeration_mask():
-    # the frontier's vectorized leaf key of every graph of order <= 6
+    # the frontier's leaf key, the pair-mask codec on uint64 columns, of
+    # every graph of order <= 6; with no columns the codec returns the int 0
     for k in range(LEAF_ORDER + 1):
         graphs = list(en.all_graphs(k))
         rows = np.array([g.rows for g in graphs], dtype=np.uint64).reshape(len(graphs), k)
-        assert _masks_of_rows(rows).tolist() == [en.mask_of_graph(g) for g in graphs]
+        keys = np.broadcast_to(_mask_of_rows(rows.T), len(graphs))
+        assert k == 0 or keys.dtype == np.uint64
+        assert keys.tolist() == [en.mask_of_graph(g) for g in graphs]
+
+
+def queue_bfs_relabel(g):
+    """g renamed by a plain queue: breadth first from each unvisited vertex
+    in increasing order, neighbors in increasing order."""
+    perm = {}
+    for root in range(g.n):
+        if root in perm:
+            continue
+        perm[root] = len(perm)
+        queue = deque([root])
+        while queue:
+            for w in g.neighbors(queue.popleft()):
+                if w not in perm:
+                    perm[w] = len(perm)
+                    queue.append(w)
+    return relabel(g, [perm[v] for v in range(g.n)])
+
+
+def test_bfs_relabel_is_a_queue_bfs():
+    # the frontier's vertex order: equal relabeled graphs mean equal levels
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    rng = random.Random(73)
+    graphs += [random_graph(rng, 20, p) for p in (0.05, 0.1, 0.2, 0.5) for _ in range(10)]
+    for g in graphs:
+        assert _bfs_relabel(g) == queue_bfs_relabel(g)
 
 
 def test_order_64_closed_forms():

@@ -58,6 +58,34 @@ def test_orbit_suite_small_scale_passes():
         run_orbit_suite(max_symbols=suites.ORBIT_MAX_SYMBOLS + 1)
 
 
+@pytest.mark.parametrize(
+    "run, name",
+    [
+        (lambda: run_orbit_suite(-1), "max_symbols"),
+        (lambda: run_identity_suite(2, word_samples=-3), "word_samples"),
+        (lambda: run_conjecture_suite(3, random_samples=-5), "random_samples"),
+        (
+            lambda: run_conjecture_suite(7, random_samples=3, random_max_order=7),
+            "random_max_order",
+        ),
+        (
+            lambda: run_conjecture_suite(7, random_samples=3, random_max_order=65),
+            "random_max_order",
+        ),
+    ],
+    ids=["orbit-max-symbols", "identity-word-samples", "conjecture-random-samples",
+         "conjecture-random-max-order-low", "conjecture-random-max-order-high"],
+)
+def test_suites_reject_bad_arguments_before_any_sweep(run, name, monkeypatch):
+    def swept(*args):
+        raise AssertionError("a sweep ran before the argument check")
+
+    monkeypatch.setattr(en, "_level", swept)
+    monkeypatch.setattr(suites, "_orbit_checks_for_order", swept)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        run()
+
+
 def test_orbit_suite_checks_the_interlace_graph_of_a_stray_word(monkeypatch):
     # a faulty transposition that always lands on the edgeless word
     # 1 1 2 2 ..., outside the digraph of every word with an interlaced
