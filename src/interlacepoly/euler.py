@@ -534,40 +534,28 @@ def euler_circuits_brute(d: BalancedDigraph) -> list[DoubleOccurrenceWord]:
 # -- BEST-theorem counting --------------------------------------------------
 
 
-def _bareiss_determinant(m: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return sign * m[-1][-1]
-
-
 def _best_cofactor(order: int, arcs: Iterable[tuple[int, int]]) -> int:
     """Arborescences into vertex 0: the (0, 0) cofactor of the directed
-    Laplacian of the arcs, loops excluded."""
+    Laplacian of the arcs, loops excluded.  That reduced Laplacian is a
+    Z-matrix with nonnegative row sums, an M-matrix, so a zero pivot (a
+    leading principal minor) makes the determinant 0 by Fischer's
+    inequality: the fraction-free elimination needs no row exchange."""
     lap = [[0] * order for _ in range(order)]
     for t, h in arcs:
         if t != h:
             lap[t][t] += 1
             lap[t][h] -= 1
-    return _bareiss_determinant([row[1:] for row in lap[1:]])
+    m = [row[1:] for row in lap[1:]]
+    prev = 1  # the last pivot is the determinant
+    for k, row in enumerate(m):
+        pivot = row[k]
+        if pivot == 0:
+            return 0
+        for r in m[k + 1 :]:
+            for j in range(k + 1, len(m)):
+                r[j] = (r[j] * pivot - r[k] * row[j]) // prev
+        prev = pivot
+    return prev
 
 
 def euler_circuit_count_best(d: BalancedDigraph) -> int:
@@ -577,14 +565,16 @@ def euler_circuit_count_best(d: BalancedDigraph) -> int:
     fixed root times prod_v (outdeg(v) - 1)!; with all out-degrees 2 the
     factorial product is 1, and the arborescence count is a cofactor of
     the directed Laplacian (loops excluded -- a loop at a 2-in/2-out
-    vertex never changes the tree count).  The cofactor is computed as an
-    exact integer determinant.
+    vertex never changes the tree count).  That cofactor is an M-matrix
+    determinant, 0 exactly when D is disconnected (matrix-tree theorem),
+    so with the free-loop count it is the connectivity test.
     """
     if not d.is_two_in_two_out:
         raise ValueError("BEST counting here expects a 2-in/2-out digraph")
-    if not d.is_connected():
+    count = 0 if d.free_loops else _best_cofactor(d.order, d.arcs)
+    if not count:
         raise DisconnectedError("Euler circuits need a connected digraph")
-    return _best_cofactor(d.order, d.arcs)
+    return count
 
 
 # -- anti-circuits ----------------------------------------------------------

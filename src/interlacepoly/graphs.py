@@ -78,17 +78,9 @@ class Graph:
         n = len(rows)
         if n > MAX_ORDER:
             raise ValueError(f"order must be <= {MAX_ORDER}, got {n}")
-        full = (1 << n) - 1
-        for v, r in enumerate(rows):
-            if r & ~full or r >> v & 1:
-                raise ValueError("invalid adjacency row (loop or out-of-range bit)")
-        for v, r in enumerate(rows):
-            m = r
-            while m:
-                u = (m & -m).bit_length() - 1
-                if not rows[u] >> v & 1:
-                    raise ValueError("adjacency is not symmetric")
-                m &= m - 1
+        # the codec keeps only the bits below the diagonal
+        if list(rows) != _rows_of_mask(n, _mask_of_rows(rows)):
+            raise ValueError("asymmetric, looped, out-of-range or negative rows")
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "rows", tuple(rows))
         return g

@@ -7,7 +7,7 @@ import pytest
 
 from interlacepoly.cli import main
 from interlacepoly.enumeration import all_graphs
-from interlacepoly.graphs import is_connected
+from interlacepoly.graphs import from_graph6, is_connected
 from interlacepoly.interlace import interlace_polynomial
 from interlacepoly.suites import VerificationReport
 
@@ -63,6 +63,20 @@ def test_euler_orbit(tmp_path, capsys):
     assert len(data["words"]) == 5
 
 
+def test_euler_orbit_text_lists_the_json_words(tmp_path, capsys):
+    f = tmp_path / "w.txt"
+    f.write_text("1 2 3 1 3 4 2 4\n")
+    _, out, _ = run_cli(capsys, "euler", "orbit", str(f), "--json")
+    words = json.loads(out)["words"]
+    code, out, err = run_cli(capsys, "euler", "orbit", str(f))
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "euler circuits (circuit orbit size): 5",
+        "distinct visit words: 5",
+        *words,
+    ]
+
+
 def test_euler_orbit_above_seven_symbols(tmp_path, capsys):
     # the digraph of a b ... h a b ... h is a cycle of doubled arcs: its
     # 2^7 circuits share one visit word, printed in the input's tokens
@@ -103,6 +117,19 @@ def test_enumerate_small(capsys):
     assert len(out.strip().splitlines()) == 4  # distinct polynomials
     code, out, _ = run_cli(capsys, "enumerate", "1")
     assert code == 0 and out.strip().split("\t")[1] == "x"
+
+
+def test_enumerate_json_lists_every_labeled_graph(capsys):
+    _, text, _ = run_cli(capsys, "enumerate", "3")
+    code, out, _ = run_cli(capsys, "enumerate", "3", "--json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    g6s = [r["graph6"] for r in records]
+    assert g6s == [line.split("\t")[0] for line in text.splitlines()]
+    assert len(set(g6s)) == 8
+    for r in records:
+        q = interlace_polynomial(from_graph6(r["graph6"]))
+        assert r == {"graph6": r["graph6"], **q.to_json_dict()}
 
 
 def test_enumerate_distinct_connected(capsys):
@@ -166,6 +193,14 @@ def test_verify_extremal_reports_known_failures(capsys):
     code, out, _ = run_cli(capsys, "verify", "extremal", "--n-max", "4")
     assert code == 1
     assert "two-term" in out
+
+
+def test_verify_text_lists_ten_violations_then_the_rest_as_a_count(capsys):
+    code, out, _ = run_cli(capsys, "verify", "extremal", "--n-max", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("[FAIL (24 stored)] suite=extremal n_max=5 ")
+    assert len(lines) == 12 and lines[-1] == "    ... 14 more stored"
 
 
 def test_verify_conjectures(capsys):

@@ -1,6 +1,7 @@
 """Tests for words, balanced digraphs, circuit partitions, and orbits."""
 
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -233,15 +234,6 @@ def test_circuit_partition_counts_1212():
             assert starts == [min(c) for c in circuits] == sorted(starts)
 
 
-def _reference_r(d):
-    """r(D;x) from the per-system reference: one circuit partition per
-    transition system."""
-    counts = [0] * (len(d.arcs) + d.free_loops + 1)
-    for circuits in circuit_partitions(d):
-        counts[len(circuits) + d.free_loops] += 1
-    return IntPolynomial(counts)
-
-
 def _random_balanced_digraph(rng, max_order, max_free_loops):
     order = rng.randrange(1, max_order + 1)
     arcs = []
@@ -284,6 +276,15 @@ def _digraph_corpus():
             digraphs.append(d)
             general += 1
     return digraphs
+
+
+def _reference_r(d):
+    """r(D;x) from the per-system reference: one circuit partition per
+    transition system."""
+    counts = [0] * (len(d.arcs) + d.free_loops + 1)
+    for circuits in circuit_partitions(d):
+        counts[len(circuits) + d.free_loops] += 1
+    return IntPolynomial(counts)
 
 
 def test_gray_walk_matches_per_system_reference():
@@ -370,6 +371,72 @@ def test_counts_agree_brute_best_interlace():
         assert brute == best == q1
         # r_1 coefficient agrees too
         assert circuit_partition_polynomial(d).coefficient(1) == brute
+
+
+def test_best_count_raises_the_degree_error_then_the_connectivity_error():
+    d = digraph_from_word(W("1 2 1 2"))
+    assert euler_circuit_count_best(d) == 2
+    for disconnected in (
+        BalancedDigraph(2, [(0, 0), (0, 0), (1, 1), (1, 1)]),
+        BalancedDigraph(d.order, d.arcs, free_loops=1),
+        BalancedDigraph(0, [], free_loops=1),
+    ):
+        with pytest.raises(DisconnectedError):
+            euler_circuit_count_best(disconnected)
+    # not 2-in/2-out, and disconnected too: the degree error comes first
+    for d in (BalancedDigraph(3, [(0, 0), (1, 1)]), loops_digraph(3)):
+        with pytest.raises(ValueError, match="2-in/2-out") as info:
+            euler_circuit_count_best(d)
+        assert info.type is ValueError
+
+
+def test_anti_circuit_count_errors():
+    with pytest.raises(ValueError, match="2-in/2-out"):
+        anti_circuit_count(loops_digraph(3))
+    d = digraph_from_word(W("1 2 1 2"))
+    with pytest.raises(ValueError, match="free loops"):
+        anti_circuit_count(BalancedDigraph(d.order, d.arcs, free_loops=1))
+
+
+def _fraction_determinant(m):
+    """Gaussian elimination over the rationals, with row exchanges."""
+    m = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p], det = m[p], m[k], -det
+        det *= m[k][k]
+        for row in m[k + 1 :]:
+            f = row[k] / m[k][k]
+            for j in range(k, len(m)):
+                row[j] -= f * m[k][j]
+    return det
+
+
+def test_best_cofactor_is_the_reduced_laplacian_determinant_and_connectivity():
+    # orders 0-7 with bare vertices; no free loops, which BEST checks apart
+    rng = random.Random(1013)
+    singular = 0
+    for _ in range(2000):
+        order = rng.randrange(8)
+        arcs = []
+        for _ in range(rng.randrange(5) if order else 0):
+            verts = [rng.randrange(order) for _ in range(rng.randrange(1, 6))]
+            arcs.extend(zip(verts, verts[1:] + verts[:1]))
+        d = BalancedDigraph(order, arcs)
+        lap = [[0] * order for _ in range(order)]
+        for t, h in arcs:
+            if t != h:
+                lap[t][t] += 1
+                lap[t][h] -= 1
+        cofactor = euler._best_cofactor(order, arcs)
+        assert cofactor == _fraction_determinant([r[1:] for r in lap[1:]]), d
+        assert (cofactor != 0) == d.is_connected(), d
+        singular += cofactor == 0
+    assert 500 < singular < 1500  # both sides of the test are exercised
 
 
 def test_bridge_identity():

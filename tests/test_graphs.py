@@ -58,8 +58,17 @@ def test_construction_and_validation():
         Graph(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph(65)
-    with pytest.raises(ValueError):
-        Graph.from_rows([1, 0])  # asymmetric
+
+
+def test_from_rows_takes_only_the_rows_of_a_simple_graph():
+    assert Graph.from_rows([2, 1]) == Graph(2, [(0, 1)])
+    # an asymmetric pair, a loop, an out-of-range bit and a negative row;
+    # [6, 1] and [-2, 1] agree with K_2's rows [2, 1] on every in-range bit
+    for rows in ([2, 0], [1, 0], [6, 1], [-2, 1]):
+        with pytest.raises(ValueError, match="asymmetric, looped, out-of-range"):
+            Graph.from_rows(rows)
+    with pytest.raises(ValueError, match="order must be <= 64"):
+        Graph.from_rows([0] * 65)
 
 
 def test_pivot_path_becomes_cycle():
