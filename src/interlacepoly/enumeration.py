@@ -186,7 +186,7 @@ _LEVELS = [
 
 def _level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_LEVELS[n]``, after building each missing order up to n; the one
-    check of the tables' order range."""
+    check of the tables' order range, which every table reader calls."""
     if n < 0:
         raise ValueError(f"order must be at least 0, got {n}")
     if n > TABLE_MAX_ORDER:
@@ -278,6 +278,7 @@ def nonzero_term_counts(n: int) -> np.ndarray:
 
 
 def edge_count_table(n: int) -> np.ndarray:
+    _level(n)
     masks = np.arange(1 << pair_count(n), dtype=np.uint64)
     return np.bitwise_count(masks).astype(np.int64)
 
@@ -288,6 +289,7 @@ def incident_bits(n: int, v: int) -> int:
 
 
 def isolated_count_table(n: int) -> np.ndarray:
+    _level(n)
     masks = np.arange(1 << pair_count(n), dtype=np.int64)
     count = np.zeros(len(masks), dtype=np.int8)
     for v in range(n):
@@ -300,6 +302,7 @@ def independence_number_table(n: int) -> np.ndarray:
     v: max(alpha(G - v), 1 + alpha(G - N[v])).  A mask's low bits are G - v
     and its high bits N(v); G - N[v] is read as G - v with N(v) joined to
     every vertex, which keeps alpha of the rest, or as 0 if N[v] is all."""
+    _level(n)
     alpha = np.zeros(1, dtype=np.int8)
     for k in range(1, n + 1):
         low_bits, full = pair_count(k - 1), (1 << k - 1) - 1

@@ -44,6 +44,7 @@ word).  Counting operations here therefore count circuits, not words.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
@@ -62,14 +63,17 @@ class DisconnectedError(ValueError):
     """An Euler-circuit operation was applied to a disconnected digraph."""
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class DoubleOccurrenceWord:
     """A cyclic word over symbols 0..n-1, each appearing exactly twice.
 
     ``symbols`` holds the canonical linear rotation; ``labels``, when
-    present, map symbol ids back to the tokens they were parsed from.
+    present, map symbol ids to the n distinct whitespace-free tokens they
+    were parsed from.  Equality and hash read ``symbols`` only.
     """
 
-    __slots__ = ("symbols", "labels")
+    symbols: tuple[int, ...]
+    labels: tuple[str, ...] | None = field(compare=False)
 
     def __init__(
         self, symbols: Iterable[int], labels: Sequence[str] | None = None
@@ -86,13 +90,13 @@ class DoubleOccurrenceWord:
             counts[s] += 1
         if any(c != 2 for c in counts):
             raise ValueError("every symbol must appear exactly twice")
+        if labels is not None:
+            labels = tuple(labels)
+            tokens = {t for t in labels if isinstance(t, str) and t.split() == [t]}
+            if len(labels) != n or len(tokens) != n:
+                raise ValueError(f"labels must be {n} distinct tokens, got {labels!r}")
         object.__setattr__(self, "symbols", _canonical_rotation(syms))
-        object.__setattr__(
-            self, "labels", tuple(labels) if labels is not None else None
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DoubleOccurrenceWord is immutable")
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def parse(cls, text: str) -> "DoubleOccurrenceWord":
@@ -120,14 +124,6 @@ class DoubleOccurrenceWord:
 
     def __repr__(self) -> str:
         return f"DoubleOccurrenceWord({list(self.symbols)!r})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DoubleOccurrenceWord) and self.symbols == other.symbols
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.symbols)
 
 
 def _canonical_rotation(syms: tuple[int, ...]) -> tuple[int, ...]:
@@ -275,6 +271,7 @@ def circuit_transposition_orbit(
 # -- balanced digraphs ------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class BalancedDigraph:
     """Multi-digraph with distinguishable arcs; in-degree = out-degree
     everywhere; ``free_loops`` counts vertexless loops.
@@ -286,7 +283,11 @@ class BalancedDigraph:
     free-loop count.
     """
 
-    __slots__ = ("order", "arcs", "free_loops", "in_lists", "out_lists")
+    order: int
+    arcs: tuple[tuple[int, int], ...]
+    free_loops: int
+    in_lists: tuple[tuple[int, ...], ...]
+    out_lists: tuple[tuple[int, ...], ...]
 
     def __init__(
         self,
@@ -317,9 +318,6 @@ class BalancedDigraph:
         object.__setattr__(self, "free_loops", free_loops)
         object.__setattr__(self, "in_lists", tuple(map(tuple, in_lists)))
         object.__setattr__(self, "out_lists", tuple(map(tuple, out_lists)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BalancedDigraph is immutable")
 
     @property
     def is_two_in_two_out(self) -> bool:

@@ -1,10 +1,10 @@
 """Vertex-indexed simple undirected graphs with the pivot operator.
 
-A graph is an immutable value, its order and adjacency rows only: the
+A graph is a frozen dataclass, its order and adjacency rows only: the
 order is capped at 64 and each row is one machine-word bitmask, which
 makes the pivot O(n) mask arithmetic and graphs cheap to hash for
-memoization.  All operations are pure functions returning new graphs, so
-values can be shared between concurrent workers without synchronization.
+memoization.  All operations are pure functions returning new graphs;
+graphs pickle and copy, so they cross threads and processes alike.
 
 The pivot G^{ab} of a graph on an edge ab partitions the vertices other
 than a and b into four classes -- adjacent to a only, to b only, to both,
@@ -31,6 +31,7 @@ that mask, and so is the frontier's leaf key, on uint64 columns.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 64
@@ -44,6 +45,7 @@ class TooLargeError(ValueError):
     """The instance exceeds the cutoff of a brute-force operation."""
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Graph:
     """Simple undirected graph: no loops, no multiple edges, order <= 64.
 
@@ -53,7 +55,8 @@ class Graph:
     graphs, so vertices carry no names.
     """
 
-    __slots__ = ("n", "rows")
+    n: int
+    rows: tuple[int, ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not 0 <= n <= MAX_ORDER:
@@ -68,9 +71,6 @@ class Graph:
             rows[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
 
     @classmethod
     def from_rows(cls, rows: Sequence[int]) -> "Graph":
@@ -107,14 +107,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self.edges())})"

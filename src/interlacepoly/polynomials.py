@@ -19,6 +19,7 @@ needed by the interlace / circuit-partition machinery:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable
 
@@ -43,21 +44,19 @@ def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class IntPolynomial:
     """A univariate polynomial with (arbitrary-precision) integer coefficients.
 
     ``coeffs[i]`` is the coefficient of x^i; there are no trailing zeros.
-    Instances are immutable and hashable, so they can be shared freely
-    between concurrent workers and used as dictionary keys.
+    Instances are frozen dataclasses: hashable dictionary keys that
+    threads share freely and that pickle and copy across processes.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
         object.__setattr__(self, "coeffs", _normalize(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPolynomial is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -202,14 +201,6 @@ class IntPolynomial:
     def to_json_dict(self) -> dict:
         """JSON form: coefficients as decimal strings, ascending degree."""
         return {"coeffs": [str(c) for c in self.coeffs]}
-
-    # -- comparisons ---------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
 
 def is_unimodal(p: IntPolynomial) -> bool:

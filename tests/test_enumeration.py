@@ -139,7 +139,8 @@ def test_table_order_cap():
     readers = (
         en.words, en.distinct, en.coefficient_table, lambda n: en.evaluate(n, 2),
         en.degrees, en.lowest_degrees, en.nonzero_term_counts,
-        en.component_count_table,
+        en.component_count_table, en.edge_count_table, en.isolated_count_table,
+        en.independence_number_table,
     )
     for read in readers:
         with pytest.raises(TooLargeError, match="order 8 exceeds 7, the largest"):

@@ -81,6 +81,33 @@ def test_word_parse_and_render():
     assert w == DoubleOccurrenceWord((0, 1, 0, 1))
 
 
+def test_word_labels_are_n_distinct_tokens():
+    # too few labels made str() raise IndexError; a repeated or spaced label
+    # printed text that parse refuses or reads as another word
+    bad = [(), ("a",), ("a", "a"), ("a", "b", "c"), ("a b", "c"), ("", "b"), ("a", 1)]
+    for labels in bad:
+        with pytest.raises(ValueError, match="labels must be 2 distinct tokens"):
+            DoubleOccurrenceWord((0, 1, 0, 1), labels=labels)
+    w = DoubleOccurrenceWord((1, 0, 0, 1), labels=["y", "x"])
+    assert str(w) == "y y x x" and w.labels == ("y", "x")
+    # ids numbered in order of first appearance, as parse numbers them,
+    # read back with their labels; any other numbering reads back renumbered
+    rng = random.Random(26)
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        syms = list(range(n)) * 2
+        rng.shuffle(syms)
+        labels = rng.sample(["a", "bb", "Ω", "-1", "x_y", "0", "Z"], n)
+        w = DoubleOccurrenceWord(syms, labels)
+        back = W(str(w))
+        assert str(back) == str(w)
+        if w.symbols == back.symbols:
+            assert back == w and back.labels == w.labels
+        else:
+            assert [w.labels[s] for s in w.symbols] == [back.labels[s] for s in back.symbols]
+    assert W("p q p q").labels == ("p", "q")
+
+
 _TOKEN = st.text(st.characters(blacklist_categories=("Z", "Cc", "Cs")), min_size=1)
 
 
