@@ -38,13 +38,13 @@ schedules, chosen by the input's order alone:
   coefficient s + d.  Every c is at most a coefficient of q(G), so all
   of it stays exact in uint64.
 
-Why the threshold sits at 12: the frontier pays a fixed cost per level
-(about 0.06 ms at order 14), the recursion a Python call per subproblem.
-Per graph, the frontier wins from order 12 on dense G(n, 1/2), and from
-about 15 on random word graphs and G(n, 0.2); the suites' small graphs
-and words of up to 10 symbols stay on the recursion.  A ``cache`` serves
-only the recursion: pass one in to share work across calls below the
-threshold, one per worker.
+Why the threshold sits at 12: a level is a fixed handful of numpy calls
+(about 0.05 ms at order 14), the recursion a Python call per subproblem.
+Per graph, the frontier wins from order 11 on dense G(n, 1/2), and from
+14-15 on random word graphs and G(n, 0.2); at 12, the suites' small
+graphs and words of up to 10 symbols stay on the recursion.  A ``cache``
+serves only the recursion: pass one in to share work across calls below
+the threshold, one per worker.
 
 Paths are indexed by edge count: path_polynomial(n) is the path with n
 edges and n + 1 vertices.
@@ -76,6 +76,12 @@ MemoCache = MutableMapping[tuple[int, ...], int]
 LANE = 64  # bits per coefficient of a packed value q(G; 2^64)
 FRONTIER_MIN_ORDER = 12
 LEAF_ORDER = 6  # the frontier's leaves: one gather from the order-6 table
+# _merge's key weights, one per entry column: the first outputs of splitmix64
+# from seed 0, in uint64 arithmetic, which wraps mod 2^64
+_WEIGHTS = np.arange(1, LANE + 2, dtype=np.uint64) * 0x9E3779B97F4A7C15
+_WEIGHTS = (_WEIGHTS ^ _WEIGHTS >> 30) * 0xBF58476D1CE4E5B9
+_WEIGHTS = (_WEIGHTS ^ _WEIGHTS >> 27) * 0x94D049BB133111EB
+_WEIGHTS ^= _WEIGHTS >> 31
 
 
 def _unpack(value: int, n: int) -> IntPolynomial:
@@ -115,9 +121,11 @@ def _bfs_relabel(g: Graph) -> Graph:
 
 
 def _merge(entries: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct entry rows, each with the sum of its c: a sort of a void
-    view of the rows (np.unique would import numpy.ma), then reduceat."""
-    order = np.argsort(entries.view(np.dtype((np.void, 8 * entries.shape[1]))).ravel())
+    """The distinct entry rows, each with the sum of its c.  The rows are sorted
+    by the key entries @ _WEIGHTS mod 2^64 (np.unique would import numpy.ma),
+    and adjacent rows merge only if every column is equal: a key collision can
+    only leave a duplicate unmerged, and the leaf sum adds both exactly."""
+    order = np.argsort(entries @ _WEIGHTS[: entries.shape[1]])
     entries = entries[order]
     first = np.ones(len(entries), dtype=bool)
     np.any(entries[1:] != entries[:-1], axis=1, out=first[1:])
@@ -140,8 +148,13 @@ def _q_frontier(g: Graph) -> IntPolynomial:
         X, toggled = X[hit], entries[hit]
         low = X & ~X + 1  # {b}, b = min N(v)
         Y = toggled[np.arange(len(hit)), 1 + np.bitwise_count(low - 1)] | low
-        for u in range(k - 1):  # _toggle_rows per column: temporaries stay small
-            toggled[:, 1 + u] ^= (X >> u & 1) * Y ^ (Y >> u & 1) * X
+        u, t = np.arange(k - 1, dtype=np.uint64), np.empty((len(hit), k - 1), np.uint64)
+        for a, b in ((X[:, None], Y[:, None]), (Y[:, None], X[:, None])):
+            np.right_shift(a, u, out=t)  # _toggle_rows on every column at once
+            t &= 1
+            t *= b
+            toggled[:, 1:] ^= t
+        del t  # before the merge, which sets the level's peak memory
         entries, c = _merge(np.concatenate([entries, toggled]), np.concatenate([c, c[hit]]))
     rows, index = distinct(LEAF_ORDER)
     terms = c[:, None] * rows.astype(np.uint64)[index[_mask_of_rows(entries[:, 1:].T)]]

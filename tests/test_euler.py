@@ -305,30 +305,45 @@ def _digraph_corpus():
     return digraphs
 
 
-def _reference_r(d):
-    """r(D;x) from the per-system reference: one circuit partition per
-    transition system."""
-    counts = [0] * (len(d.arcs) + d.free_loops + 1)
-    for circuits in circuit_partitions(d):
-        counts[len(circuits) + d.free_loops] += 1
-    return IntPolynomial(counts)
+def _walk_violation(d, circuits):
+    """The first way these circuits fail to be one circuit partition of d:
+    an arc missed or repeated, or a circuit that is not a closed walk."""
+    if sorted(e for c in circuits for e in c) != list(range(len(d.arcs))):
+        return ("arc cover", circuits)
+    for c in circuits:
+        for e, f in zip(c, c[1:] + c[:1]):
+            if d.arcs[e][1] != d.arcs[f][0]:
+                return ("closed walk", c)
+    return None
 
 
-def test_gray_walk_matches_per_system_reference():
+@pytest.fixture(scope="module")
+def corpus_walk():
+    """One walk of circuit_partitions over _digraph_corpus(): per digraph,
+    the histogram of circuit counts (the per-system reference for r(D;x)),
+    the number of systems and the first violation; the partitions
+    themselves are not kept."""
+    records = []
     for d in _digraph_corpus():
-        assert circuit_partition_polynomial(d) == _reference_r(d), d
-
-
-def test_circuit_partitions_are_closed_walks_covering_every_arc():
-    for d in _digraph_corpus():
-        count = 0
+        hist = [0] * (len(d.arcs) + d.free_loops + 1)
+        systems, violation = 0, None
         for circuits in circuit_partitions(d):
-            count += 1
-            assert sorted(e for c in circuits for e in c) == list(range(len(d.arcs)))
-            for c in circuits:
-                for e, f in zip(c, c[1:] + c[:1]):
-                    assert d.arcs[e][1] == d.arcs[f][0], (d, c)
-        assert count == transition_system_count(d), d
+            systems += 1
+            hist[len(circuits) + d.free_loops] += 1
+            violation = violation or _walk_violation(d, circuits)
+        records.append((d, IntPolynomial(hist), systems, violation))
+    return records
+
+
+def test_gray_walk_matches_per_system_reference(corpus_walk):
+    for d, reference_r, _, _ in corpus_walk:
+        assert circuit_partition_polynomial(d) == reference_r, d
+
+
+def test_circuit_partitions_are_closed_walks_covering_every_arc(corpus_walk):
+    for d, _, systems, violation in corpus_walk:
+        assert violation is None, (d, violation)
+        assert systems == transition_system_count(d), d
 
 
 def test_transition_enumeration_cutoff(monkeypatch):

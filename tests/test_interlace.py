@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -37,7 +37,9 @@ from interlacepoly.graphs import (
 from interlacepoly.interlace import (
     FRONTIER_MIN_ORDER,
     LEAF_ORDER,
+    _WEIGHTS,
     _bfs_relabel,
+    _merge,
     _q_rows,
     _unpack,
     clique_substitution_polynomial,
@@ -362,7 +364,7 @@ def test_small_graphs_build_no_leaf_table():
     workload's 10-symbol words among them) build no table, the first
     frontier call builds the orders <= 6 and not order 7, and neither
     imports a numpy module beyond numpy's own import (as np.unique does
-    numpy.ma)."""
+    numpy.ma, and np.random.default_rng numpy.random)."""
     script = textwrap.dedent(
         """
         import random
@@ -384,7 +386,7 @@ def test_small_graphs_build_no_leaf_table():
         print(len(enumeration._LEVELS), end=" ")
         interlace_polynomial(Graph(FRONTIER_MIN_ORDER, [(0, 1), (1, 2)]))
         print(len(enumeration._LEVELS), end=" ")
-        print("numpy.ma" in sys.modules)
+        print("numpy.ma" in sys.modules, "numpy.random" in sys.modules)
         """
     )
     root = Path(__file__).resolve().parents[1]
@@ -397,7 +399,7 @@ def test_small_graphs_build_no_leaf_table():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "7", "False"]  # orders 0..6, not 7
+    assert proc.stdout.split() == ["1", "7", "False", "False"]  # orders 0..6, not 7
 
 
 def recursion(g):
@@ -475,6 +477,76 @@ def test_frontier_matches_nullity_oracle():
         for p in (0.2, 0.5, 0.8):
             g = random_graph(rng, n, p)
             assert interlace_polynomial(g) == q_by_nullity(g), (n, p)
+
+
+def merged_sums(entries, c):
+    """Each distinct row of the merged entries with the sum of its c."""
+    sums = Counter()
+    for row, ci in zip(map(tuple, entries.tolist()), c.tolist()):
+        sums[row] += ci
+    return sums
+
+
+def test_merge_sums_repeated_rows_into_distinct_rows():
+    # small values make a weak key (a short linear sum) collide often, and
+    # many repeats interleave the colliding rows in the sort
+    rng = np.random.default_rng(89)
+    for k in (1, 2, 5, 9, 65):  # 65: s and 64 rows, the widest entry
+        pool = rng.integers(0, 4, size=(40, k), dtype=np.uint64)
+        entries = pool[rng.integers(0, len(pool), size=3000)]
+        c = rng.integers(1, 1000, size=len(entries), dtype=np.uint64)
+        rows, sums = _merge(entries, c)
+        assert len(set(map(tuple, rows.tolist()))) == len(rows), k
+        assert merged_sums(rows, sums) == merged_sums(entries, c), k
+
+
+def test_merge_never_merges_unequal_rows_with_equal_keys():
+    # [w1, 0] and [0, w0] both have the key w0 w1 mod 2^64: a key
+    # collision, which a merge on the key alone would sum together
+    w = [int(x) for x in _WEIGHTS[:4]]
+    crafted = [
+        [[w[1], 0], [0, w[0]]],
+        [[w[2], 0, 0], [0, 0, w[0]], [0, w[2], 0], [0, 0, w[1]], [1, 2, 3]],
+        [[w[3], 0, 0, 0], [0, 0, 0, w[0]], [0, w[2], w[1], 0], [0, 0, 0, 0]],
+    ]
+    rng = random.Random(97)
+    for rows in crafted:
+        keys = {sum(x * y for x, y in zip(row, w)) % 2**64 for row in rows}
+        assert len(keys) < len(rows)  # the crafted rows do collide
+        entries = np.array([rng.choice(rows) for _ in range(200)], dtype=np.uint64)
+        c = np.array([rng.randrange(1, 50) for _ in range(200)], dtype=np.uint64)
+        merged, sums = _merge(entries, c)
+        assert merged_sums(merged, sums) == merged_sums(entries, c)
+
+
+def gf2_nullity(rows):
+    """The nullity of a GF(2) matrix given by its Python-int rows."""
+    basis = {}  # leading bit -> row
+    for r in rows:
+        while r:
+            top = r.bit_length() - 1
+            if top not in basis:
+                basis[top] = r
+                break
+            r ^= basis[top]
+    return len(rows) - len(basis)
+
+
+def test_frontier_at_orders_21_to_26_by_pivot_free_invariants():
+    """Beyond every other check of the frontier, by facts that need no
+    pivot: q(G;-1) = (-1)^n (-2)^k, k the GF(2) nullity of A + I
+    (Balister, Bollobas, Cutler and Pebody 2002), q(G;2) = 2^n, the lowest
+    degree is the component count, and q does not depend on the labels."""
+    rng = random.Random(83)
+    cases = [(n, p) for n in range(21, 25) for p in (0.2, 0.5, 0.8)] + [(26, 0.5)]
+    for n, p in cases:
+        g = random_graph(rng, n, p)
+        got = interlace_polynomial(g)
+        k = gf2_nullity([r | 1 << v for v, r in enumerate(g.rows)])
+        assert got.evaluate(-1) == (-1) ** n * (-2) ** k, (n, p)
+        assert got.evaluate(2) == 2**n, (n, p)
+        assert got.lowest_degree() == component_count(g), (n, p)
+        assert interlace_polynomial(shuffled(rng, g)) == got, (n, p)
 
 
 def test_substitute():
